@@ -56,6 +56,29 @@ def vec_of_mat(m):
     return m.reshape(m.shape[:-2] + (9,))
 
 
+def sym(m):
+    """Symmetric part 0.5 * (m + m^T)."""
+    m = np.asarray(m, dtype=float)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def skew(m):
+    """Skew part 0.5 * (m - m^T); exactly antisymmetric in IEEE arithmetic."""
+    m = np.asarray(m, dtype=float)
+    return 0.5 * (m - np.swapaxes(m, -1, -2))
+
+
+def det_floor(m, min_det: float, name: str, *, absolute: bool = False) -> np.ndarray:
+    """det of 3x3 matrices; DeterminantTooSmall, naming the matrix, below min_det."""
+    dets = np.linalg.det(m)
+    low = np.abs(dets) if absolute else dets
+    if np.any(low < min_det):
+        label = f"|det {name}|" if absolute else f"det {name}"
+        raise DeterminantTooSmall(
+            f"{label} reaches {float(low.min()):g}, floor is {min_det:g}")
+    return dets
+
+
 def smat(a):
     """Skew-symmetric matrix of a 3-vector: smat(a) @ x == cross(a, x)."""
     a = _as_float_array(a, (3,), "a")
@@ -102,12 +125,10 @@ class SkewMat3:
     def from_matrix(cls, m, tol=0.0):
         """Build from a 3x3 matrix whose symmetric part is within tol."""
         m = _as_float_array(m, (3, 3), "m")
-        sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-        worst = float(np.max(np.abs(sym)))
+        worst = float(np.max(np.abs(sym(m))))
         if worst > tol:
             raise ValueError(f"matrix is not skew-symmetric (|sym part| = {worst:g} > {tol:g})")
-        skew = 0.5 * (m - np.swapaxes(m, -1, -2))
-        return cls(np.stack([skew[..., 2, 1], skew[..., 0, 2], skew[..., 1, 0]], axis=-1))
+        return cls(axl(skew(m)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -182,10 +203,7 @@ def invert_l(y, min_det: float = DEFAULT_MIN_DET) -> np.ndarray:
     y = _as_float_array(y, (3, 3), "y")
     if min_det <= 0.0:
         raise ValueError("min_det must be positive")
-    det_y = np.linalg.det(y)
-    if np.any(np.abs(det_y) < min_det):
-        worst = float(np.min(np.abs(det_y)))
-        raise DeterminantTooSmall(f"|det Y| = {worst:g} < min_det = {min_det:g}")
+    det_floor(y, min_det, "Y", absolute=True)
     l_full = build_l_operators(y).full
     l_inv = np.linalg.inv(l_full)
     eye = np.eye(9)
@@ -195,6 +213,12 @@ def invert_l(y, min_det: float = DEFAULT_MIN_DET) -> np.ndarray:
         raise DeterminantTooSmall(
             "L inverse residual exceeds 1e-12 * |L|; Y is numerically singular")
     return l_inv
+
+
+def curl_row(d) -> np.ndarray:
+    """Curl (..., 3) of row l of a matrix field from d[c][j] = d_j M_lc."""
+    return np.stack([d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]],
+                    axis=-1)
 
 
 def _hat_select(grad27, idx, sign):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .errors import UnknownKind
 from .fields import GridSpec, MatrixField, VectorField
 
@@ -84,15 +85,11 @@ class PolynomialMatrixField:
 
 
 def _curl_from_entry_jacobian(grad27):
-    # row l of the curl from vec-ordered entry gradients
-    shape = grad27.shape[:-2]
-    out = np.empty(shape + (3, 3), dtype=float)
-    for l in range(3):
-        d = [grad27[..., 3 * l + c, :] for c in range(3)]  # d[c][..., j] = d_j M_lc
-        out[..., l, 0] = d[2][..., 1] - d[1][..., 2]
-        out[..., l, 1] = d[0][..., 2] - d[2][..., 0]
-        out[..., l, 2] = d[1][..., 0] - d[0][..., 1]
-    return out
+    # row l of the curl from vec-ordered entry gradients; the moved view has
+    # d[c][j] = d_j M_lc
+    return np.stack([algebra.curl_row(np.moveaxis(grad27[..., 3 * l:3 * l + 3, :],
+                                                  (-2, -1), (0, 1)))
+                     for l in range(3)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,7 @@ class RotationMatrixField:
 
     def _k(self):
         axis = np.asarray(self.axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        k = np.array([[0, -axis[2], axis[1]],
-                      [axis[2], 0, -axis[0]],
-                      [-axis[1], axis[0], 0]])
+        k = algebra.smat(axis / np.linalg.norm(axis))
         return k, k @ k
 
     def value(self, points):

@@ -7,7 +7,8 @@ error (with a machine-readable error JSON on stdout).
 
     korn-kit verify-curl            --config cfg.json --out reports
     korn-kit transport propagate    [--config ...] [--seed N] [--tol X]
-    korn-kit transport flood
+    korn-kit transport flood        (accepts but ignores "steps": cuboids
+                                     are checked, not propagated)
     korn-kit transport counterexample
     korn-kit korn eig|probe|rigid|gp
     korn-kit algebra selftest
@@ -132,6 +133,12 @@ def _gamma_from_params(params, grid):
     if gamma in (None, "none"):
         return None
     return korn.face_mask(grid, int(gamma.get("axis", 0)), int(gamma.get("side", 0)))
+
+
+def _korn_problem(params):
+    p_field, grid = _resolve_p_field(params)
+    return korn.KornProblem(grid, p_field, _gamma_from_params(params, grid),
+                            min_det=float(params["min_det"]))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +339,7 @@ def _run_transport_flood(cfg: RunConfig, rng):
                               key="mask_file")
         grid = mask_field.grid
         domain = mask_field.values[..., 0] > 0.5
+        domain_kind = "mask_file"
     else:
         grid = _grid_from_params(params)
         if domain_kind == "cuboid":
@@ -371,16 +379,15 @@ def _run_transport_flood(cfg: RunConfig, rng):
     else:
         zeta = VectorField.zeros(grid, grid.dim)
 
-    report = transport.flood_propagate(domain, seed_mask, coef, zeta,
-                                       tol=cfg.tol, steps=int(params["steps"]))
+    report = transport.flood_propagate(domain, seed_mask, coef, zeta, tol=cfg.tol)
     rows = [[i, str(rec.bounds), rec.axis, rec.direction, rec.face_max,
-             rec.zero_propagation_max, rec.zeta_max, rec.passed]
+             rec.zeta_max, rec.passed]
             for i, rec in enumerate(report.cuboids)]
     body = {"domain": domain_kind, "report": report,
             "grid": {"shape": grid.shape, "spacing": grid.spacing}}
     return report.passed, body, {
         "cuboids": (["index", "bounds", "axis", "direction", "face_max",
-                     "zero_propagation_max", "zeta_max", "passed"], rows)}
+                     "zeta_max", "passed"], rows)}
 
 
 def _run_transport_counterexample(cfg: RunConfig, rng):
@@ -398,10 +405,8 @@ def _run_transport_counterexample(cfg: RunConfig, rng):
 
 def _run_korn_eig(cfg: RunConfig, rng):
     params = cfg.params
-    p_field, grid = _resolve_p_field(params)
-    gamma = _gamma_from_params(params, grid)
-    problem = korn.KornProblem(grid, p_field, gamma,
-                               min_det=float(params["min_det"]))
+    problem = _korn_problem(params)
+    gamma = problem.gamma_mask
     form = korn.assemble_form(problem)
     grams = ["l2", "h1"] if params["gram"] == "both" else [params["gram"]]
     results = {g: korn.min_rayleigh(form, g, dense_cap=int(params["dense_cap"]))
@@ -428,10 +433,8 @@ def _run_korn_eig(cfg: RunConfig, rng):
 
 def _run_korn_probe(cfg: RunConfig, rng):
     params = cfg.params
-    p_field, grid = _resolve_p_field(params)
-    gamma = _gamma_from_params(params, grid)
-    problem = korn.KornProblem(grid, p_field, gamma,
-                               min_det=float(params["min_det"]))
+    problem = _korn_problem(params)
+    gamma = problem.gamma_mask
     probe = korn.norm_property_probe(problem, params["gram"],
                                      dense_cap=int(params["dense_cap"]))
     if gamma is None:
@@ -555,6 +558,7 @@ def run(config: RunConfig) -> int:
     """Execute one experiment and write its report; returns the exit code."""
     handler = _EXPERIMENTS[config.experiment][1]
     rng = np.random.default_rng(config.seed)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     passed, body, tables = handler(config, rng)
     report = {
         "experiment": config.experiment,
@@ -613,8 +617,6 @@ def main(argv=None) -> int:
         experiment = "verify-curl"
     else:
         experiment = f"{args.group}-{args.command}"
-    if args.group == "algebra":
-        experiment = "algebra-selftest"
     try:
         config = load_config(experiment, args.config, seed=args.seed,
                              tol=args.tol, out=args.out)

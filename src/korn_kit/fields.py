@@ -72,14 +72,16 @@ class GridSpec:
         return GridSpec(tuple(2 * n - 1 for n in self.shape), self.origin,
                         self.spacing / 2.0)
 
-    def face(self, axis: int = -1, side: int = 0) -> "GridSpec":
-        """The (dim-1)-grid of the face where the given axis is extremal."""
+    def face(self, axis: int = -1) -> "GridSpec":
+        """The (dim-1)-grid of a face where the given axis is extremal.
+
+        Both faces normal to the axis share this geometry.
+        """
         axis = axis % self.dim
         shape = tuple(n for k, n in enumerate(self.shape) if k != axis)
         origin = tuple(c for k, c in enumerate(self.origin) if k != axis)
         if len(shape) < 2:
             raise DimensionMismatch("face grids are only defined for 3d grids")
-        del side  # the face grid geometry is the same on both sides
         return GridSpec(shape, origin, self.spacing)
 
     def interior(self):
@@ -205,11 +207,8 @@ def fd_curl_rowwise(m: MatrixField) -> MatrixField:
     _require_stencil_room(grid)
     out = np.empty_like(m.values)
     for l in range(3):
-        row = m.values[..., l, :]
-        d = [[_diff(row[..., c], grid, ax) for c in range(3)] for ax in range(3)]
-        out[..., l, 0] = d[1][2] - d[2][1]
-        out[..., l, 1] = d[2][0] - d[0][2]
-        out[..., l, 2] = d[0][1] - d[1][0]
+        out[..., l, :] = algebra.curl_row(
+            [[_diff(m.values[..., l, c], grid, j) for j in range(3)] for c in range(3)])
     return MatrixField(grid, out)
 
 

@@ -28,27 +28,13 @@ import scipy.sparse.linalg as spla
 
 from . import algebra
 from .analytic import RotationMatrixField, random_trig_matrix
-from .errors import (DeterminantTooSmall, DimensionMismatch, EigensolveFailed,
-                     UnknownKind)
+from .errors import DimensionMismatch, EigensolveFailed, UnknownKind
 from .fields import GridSpec, MatrixField, VectorField, fd_curl_rowwise, fd_grad
 from .transport import CoefficientTensorField, ResidualReport, system_residual
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_k, _j, _i] = -1.0
-
-
-def _sym(m):
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def _skew(m):
-    return 0.5 * (m - np.swapaxes(m, -1, -2))
-
-
-def _axial(skew):
-    return np.stack([skew[..., 2, 1], skew[..., 0, 2], skew[..., 1, 0]], axis=-1)
+# Levi-Civita symbol [i, m, k] = smat(e_m)[i, k], kept contiguous because the
+# einsum in build_gp sums in an order that follows its operands' layout
+_EPS3 = np.ascontiguousarray(np.moveaxis(algebra.smat(np.eye(3)), 0, 1))
 
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
@@ -92,10 +78,7 @@ class KornProblem:
             raise DimensionMismatch("Korn problems are three-dimensional")
         if self.P.grid != self.grid:
             raise ValueError("P must live on the problem grid")
-        dets = np.linalg.det(self.P.values)
-        if np.any(dets < self.min_det):
-            raise DeterminantTooSmall(
-                f"det P reaches {float(dets.min()):g}, floor is {self.min_det:g}")
+        algebra.det_floor(self.P.values, self.min_det, "P")
         if self.gamma_mask is not None:
             mask = np.asarray(self.gamma_mask, dtype=bool)
             if mask.shape != self.grid.shape:
@@ -113,12 +96,9 @@ def seminorm(u: VectorField, P: MatrixField,
     """Discrete L2 norm of sym(grad(u) P^{-1}), nodal cells of volume h^3."""
     if u.grid != P.grid:
         raise DimensionMismatch("u and P must share a grid")
-    dets = np.linalg.det(P.values)
-    if np.any(dets < min_det):
-        raise DeterminantTooSmall(
-            f"det P reaches {float(dets.min()):g}, floor is {min_det:g}")
+    algebra.det_floor(P.values, min_det, "P")
     p_inv = np.linalg.inv(P.values)
-    strain = _sym(fd_grad(u).values @ p_inv)
+    strain = algebra.sym(fd_grad(u).values @ p_inv)
     h = u.grid.spacing
     return float(math.sqrt(h ** u.grid.dim * np.sum(strain * strain)))
 
@@ -288,10 +268,7 @@ def build_gp(P: MatrixField, curl_p: Optional[MatrixField] = None,
     grid = P.grid
     if grid.dim != 3:
         raise DimensionMismatch("the coefficient tensor is three-dimensional")
-    dets = np.linalg.det(P.values)
-    if np.any(dets < min_det):
-        raise DeterminantTooSmall(
-            f"det P reaches {float(dets.min()):g}, floor is {min_det:g}")
+    algebra.det_floor(P.values, min_det, "P")
     if curl_p is None:
         curl_p = fd_curl_rowwise(P)
     elif curl_p.grid != grid:
@@ -322,8 +299,8 @@ def kernel_vector_diagnostics(problem: KornProblem, u: VectorField,
         raise DimensionMismatch("u must live on the problem grid")
     p_inv = np.linalg.inv(problem.P.values)
     a_field = fd_grad(u).values @ p_inv
-    skewness = float(np.max(np.abs(_sym(a_field))))
-    zeta = VectorField(problem.grid, _axial(_skew(a_field)))
+    skewness = float(np.max(np.abs(algebra.sym(a_field))))
+    zeta = VectorField(problem.grid, algebra.axl(algebra.skew(a_field)))
     gp = build_gp(problem.P, min_det=problem.min_det)
     residual = system_residual(zeta, gp, residual_tol)
     if problem.gamma_mask is None:
@@ -399,15 +376,12 @@ def rigid_recover(phi: VectorField, psi: VectorField,
         raise DimensionMismatch("phi and psi must share a grid")
     grad_phi = fd_grad(phi).values
     grad_psi = fd_grad(psi).values
-    dets = np.linalg.det(grad_psi)
-    if np.any(dets < min_det):
-        raise DeterminantTooSmall(
-            f"det grad(psi) reaches {float(dets.min()):g}, floor is {min_det:g}")
+    algebra.det_floor(grad_psi, min_det, "grad(psi)")
     a_field = grad_phi @ np.linalg.inv(grad_psi)
-    skewness = float(np.max(np.abs(_sym(a_field))))
+    skewness = float(np.max(np.abs(algebra.sym(a_field))))
     spatial = tuple(range(phi.grid.dim))
     a_bar = a_field.mean(axis=spatial)
-    rotation = algebra.SkewMat3(_axial(_skew(a_bar)))
+    rotation = algebra.SkewMat3(algebra.axl(algebra.skew(a_bar)))
     constancy = float(np.max(np.abs(a_field - rotation.matrix)))
     mapped = np.einsum("ij,...j->...i", rotation.matrix, psi.values)
     translation = (phi.values - mapped).mean(axis=spatial)
@@ -425,8 +399,8 @@ def sym_conjugation_sides(grad_phi, grad_psi):
     f_psi = np.asarray(grad_psi, dtype=float)
     inv = np.linalg.inv(f_psi)
     inv_t = np.swapaxes(inv, -1, -2)
-    lhs = inv_t @ _sym(np.swapaxes(f_phi, -1, -2) @ f_psi) @ inv
-    rhs = _sym(f_phi @ inv)
+    lhs = inv_t @ algebra.sym(np.swapaxes(f_phi, -1, -2) @ f_psi) @ inv
+    rhs = algebra.sym(f_phi @ inv)
     return lhs, rhs
 
 
@@ -460,11 +434,7 @@ def builtin_p_field(name: str, grid: GridSpec, **params) -> MatrixField:
         min_det = float(params.get("min_det", 0.1))
         trig = random_trig_matrix(seed, amplitude=amplitude, wavenumber=frequency)
         values = np.broadcast_to(np.eye(3), grid.shape + (3, 3)) + trig.value(grid.points())
-        dets = np.linalg.det(values)
-        if np.any(dets < min_det):
-            raise DeterminantTooSmall(
-                f"graded-roughness field dips to det {float(dets.min()):g}; "
-                f"reduce the amplitude")
+        algebra.det_floor(values, min_det, "of the graded-roughness field")
         return MatrixField(grid, values)
     raise UnknownKind(f"unknown coefficient family {name!r}")
 

@@ -8,9 +8,10 @@ certifies that zero boundary data forces the zero solution whenever the
 coefficient norm is integrable; the envelope machinery also exposes the
 failure mode for non-integrable coefficients such as 1/t on (0, 1).
 
-Voxel domains are handled by covering them with overlapping axis-aligned
-cuboids grown greedily from a zero seed region, checking each cuboid by
-propagation plus a full-system residual.
+Voxel domains are covered by overlapping axis-aligned cuboids grown
+greedily from a zero seed region.  Each cuboid is checked by its zero face
+data, zeta_max and the full-system residual, not by propagation: RK4 on
+zero face data of a linear system returns exactly zero.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ class LineCoefficient:
             raise DimensionMismatch(
                 f"coefficient sample at t={t:g} has shape {g.shape}, expected "
                 f"({self.dim}, {self.dim})")
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteCoefficient(f"coefficient sample is not finite at t={t:g}")
         return g
 
     def norm_at(self, t: float) -> float:
@@ -225,29 +228,25 @@ class Trajectory:
         return float(np.max(np.abs(self.values)))
 
 
+def _rk4_step(g_start, g_mid, g_end, z, dt):
+    """One classic RK4 step of z' = G z from the coefficient at three stages."""
+    k1 = np.einsum("...ij,...j->...i", g_start, z)
+    k2 = np.einsum("...ij,...j->...i", g_mid, z + 0.5 * dt * k1)
+    k3 = np.einsum("...ij,...j->...i", g_mid, z + 0.5 * dt * k2)
+    k4 = np.einsum("...ij,...j->...i", g_end, z + dt * k3)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_line(coefficient: LineCoefficient, z0: np.ndarray, n: int) -> np.ndarray:
     a, b = coefficient.interval
     h = (b - a) / n
     out = np.empty((n + 1, z0.shape[0]))
     out[0] = z0
-    z = z0.copy()
-
-    def sample(t):
-        g = coefficient.sample(t)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteCoefficient(f"coefficient sample is not finite at t={t:g}")
-        return g
-
+    z = z0
+    g = coefficient.sample
     for k in range(n):
         t = a + k * h
-        g1 = sample(t)
-        g2 = sample(t + 0.5 * h)
-        g4 = sample(t + h)
-        k1 = g1 @ z
-        k2 = g2 @ (z + 0.5 * h * k1)
-        k3 = g2 @ (z + 0.5 * h * k2)
-        k4 = g4 @ (z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = _rk4_step(g(t), g(t + 0.5 * h), g(t + h), z, h)
         out[k + 1] = z
     return out
 
@@ -355,14 +354,9 @@ def propagate_cube(coefficient: CoefficientTensorField, face_data: VectorField,
         a0 = line_ode[:, m]
         a1 = line_ode[:, m + 1]
         for s in range(substeps):
-            g1 = a0 + (s / substeps) * (a1 - a0)
-            gh = a0 + ((s + 0.5) / substeps) * (a1 - a0)
-            g4 = a0 + ((s + 1.0) / substeps) * (a1 - a0)
-            k1 = np.einsum("pij,pj->pi", g1, states)
-            k2 = np.einsum("pij,pj->pi", gh, states + 0.5 * dt * k1)
-            k3 = np.einsum("pij,pj->pi", gh, states + 0.5 * dt * k2)
-            k4 = np.einsum("pij,pj->pi", g4, states + dt * k3)
-            states = states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states = _rk4_step(a0 + (s / substeps) * (a1 - a0),
+                               a0 + ((s + 0.5) / substeps) * (a1 - a0),
+                               a0 + ((s + 1.0) / substeps) * (a1 - a0), states, dt)
         out[:, m + 1] = states
     return VectorField(grid, out.reshape(grid.shape + (n,)))
 
@@ -382,8 +376,7 @@ def system_residual(zeta: VectorField, coefficient: CoefficientTensorField,
     """Check the full first-order system, not just the propagated direction."""
     if zeta.grid != coefficient.grid:
         raise DimensionMismatch("zeta and coefficient must share a grid")
-    residual = fd_grad(zeta).values - np.einsum(
-        "...ijk,...k->...ij", coefficient.values, zeta.values)
+    residual = fd_grad(zeta).values - coefficient.apply(zeta).values
     inner = zeta.grid.interior()
     per_axis = tuple(float(np.max(np.abs(residual[inner][..., :, j])))
                      for j in range(zeta.grid.dim))
@@ -413,7 +406,6 @@ class CuboidRecord:
     axis: int
     direction: int
     face_max: float
-    zero_propagation_max: float
     zeta_max: float
     residual: Optional[ResidualReport]
     passed: bool
@@ -473,16 +465,15 @@ def _orient(values: np.ndarray, spatial_dim: int, axis: int, direction: int,
 
 def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTensorField,
                     zeta: VectorField, *, tol: Optional[float] = None,
-                    residual_tol: float = 1e-8, steps: int = 200,
-                    slab: int = 2) -> CoverageReport:
-    """Certify zeta == 0 on a voxel domain by a chain of propagation cuboids.
+                    residual_tol: float = 1e-8, slab: int = 2) -> CoverageReport:
+    """Certify zeta == 0 on a voxel domain by a chain of covering cuboids.
 
     Starting from a seed region where zeta is verified to vanish, grows
     axis-aligned cuboids that share a face slab with the already-covered
-    zero set.  In each cuboid the zero face data is propagated (a direct
-    embodiment of line-wise uniqueness), the actual zeta is compared against
-    the vanishing tolerance, and the full system residual is evaluated when
-    the cuboid is thick enough for interior stencils.
+    zero set.  Each cuboid is checked, not propagated (zero face data
+    propagates to exactly zero): its face data and zeta must vanish, and the
+    full system residual must pass when the cuboid is thick enough for
+    interior stencils.
     """
     grid = zeta.grid
     if coefficient.grid != grid:
@@ -593,33 +584,22 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
 
         sub = region(bounds)
         zeta_vals = _orient(zeta.values[sub], n, axis, direction, is_tensor=False)
-        coef_vals = _orient(coefficient.values[sub], n, axis, direction,
-                            is_tensor=True)
         oriented_shape = zeta_vals.shape[:-1]
-        sub_grid = GridSpec(oriented_shape, (0.0,) * n, grid.spacing)
-        sub_zeta = VectorField(sub_grid, zeta_vals)
-        sub_coef = CoefficientTensorField(sub_grid, coef_vals)
-
         face_max = float(np.max(np.abs(zeta_vals[..., 0, :])))
         zeta_max = float(np.max(np.abs(zeta_vals)))
-        if n == 3:
-            face_field = VectorField.zeros(sub_grid.face(-1), n)
-        else:
-            face_field = VectorField(
-                GridSpec((oriented_shape[0], 1), (0.0, 0.0), grid.spacing),
-                np.zeros((oriented_shape[0], 1, n)))
-        if oriented_shape[-1] >= 2:
-            zero_prop = propagate_cube(sub_coef, face_field, steps).max_norm()
-        else:
-            zero_prop = 0.0
         residual = None
         if all(m >= 3 for m in oriented_shape):
-            residual = system_residual(sub_zeta, sub_coef, residual_tol)
+            sub_grid = GridSpec(oriented_shape, (0.0,) * n, grid.spacing)
+            coef_vals = _orient(coefficient.values[sub], n, axis, direction,
+                                is_tensor=True)
+            residual = system_residual(VectorField(sub_grid, zeta_vals),
+                                       CoefficientTensorField(sub_grid, coef_vals),
+                                       residual_tol)
 
-        passed = (face_max <= tol and zero_prop <= tol and zeta_max <= tol
+        passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))
         record = CuboidRecord(tuple((lo, hi) for lo, hi in bounds), axis, direction,
-                              face_max, zero_prop, zeta_max, residual, passed)
+                              face_max, zeta_max, residual, passed)
         records.append(record)
         if not passed:
             return CoverageReport(tuple(records), coverage(covered), float(tol),

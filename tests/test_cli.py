@@ -153,6 +153,14 @@ class TestTransportCommands:
                         "--out", str(tmp_path), "--tol", "0.05"])
         assert code == 0
 
+    def test_propagate_creates_nested_out_dir(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [5, 5, 5], "steps": 8}))
+        assert run_cli(["transport", "propagate", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        assert isinstance(fieldio.load_field(out / "zeta.kfk"), VectorField)
+
     def test_flood_l_shape(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"domain": "l-shape", "shape": [13, 13, 7],
@@ -223,6 +231,12 @@ class TestKornCommands:
         tensor = fieldio.load_field(tmp_path / "gp_field.kfk")
         assert isinstance(tensor, CoefficientTensorField)
 
+    def test_gp_creates_nested_out_dir(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        assert run_cli(["korn", "gp", "--out", str(out)]) == 0
+        assert isinstance(fieldio.load_field(out / "gp_field.kfk"),
+                          CoefficientTensorField)
+
     def test_gp_rotation_family(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p_family": {"name": "rotation-valued"},
@@ -262,3 +276,13 @@ class TestFloodMaskFile:
         report = read_report(tmp_path, "transport_flood.json")
         assert report["report"]["passed"] is True
         assert len(report["report"]["cuboids"]) >= 2
+
+    def test_mask_file_reported_as_domain(self, tmp_path):
+        grid = GridSpec((5, 5, 5), (0.0,) * 3, 0.25)
+        fieldio.save_field(tmp_path / "mask.kfk",
+                           VectorField(grid, np.ones(grid.shape + (1,))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mask_file": str(tmp_path / "mask.kfk")}))
+        assert run_cli(["transport", "flood", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        assert read_report(tmp_path, "transport_flood.json")["domain"] == "mask_file"

@@ -183,6 +183,21 @@ class TestPropagateCube:
         with pytest.raises(FaceMismatch):
             propagate_cube(coef, wrong, 10)
 
+    def test_line_matches_integrate_line(self):
+        # both run the same RK4 stepper: batched over lines, and on one line
+        grid = GridSpec((3, 4, 9), (0.0,) * 3, 0.125)
+        rng = np.random.default_rng(4)
+        tensor = rng.uniform(-1, 1, (3, 3, 3))
+        coef = CoefficientTensorField.constant(grid, tensor)
+        face_grid = grid.face(-1)
+        face = VectorField(face_grid, rng.uniform(-1, 1, face_grid.shape + (3,)))
+        cube = propagate_cube(coef, face, 40)  # 5 substeps per cell, 40 in all
+        line = LineCoefficient.constant(tensor[:, 2, :], (0.0, 1.0))
+        traj = integrate_line(line, face.values[2, 1], 40)
+        expected = traj.values[::5]
+        got = cube.values[2, 1]
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_two_dimensional_grid(self):
         grid = GridSpec((7, 13), (0.0, 0.0), 1.0 / 12)
         tensor = np.zeros((2, 2, 2))
