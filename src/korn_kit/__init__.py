@@ -7,8 +7,9 @@ from .algebra import (LOperators, SkewMat3, axl, build_l_operators,
 from .analytic import make_analytic_field
 from .errors import (ConfigError, DeterminantTooSmall, DimensionMismatch,
                      DisconnectedDomain, EigensolveFailed, FaceMismatch,
-                     GridTooSmall, KornKitError, NonFiniteCoefficient,
-                     NotIntegrable, SeedOutsideDomain, UnknownKind)
+                     GridTooLarge, GridTooSmall, KornKitError,
+                     NonFiniteCoefficient, NotIntegrable, SeedOutsideDomain,
+                     UnknownKind)
 from .fields import (ConvergenceReport, GridSpec, MatrixField, VectorField,
                      curl_product_discrepancy, fd_curl_rowwise,
                      fd_entry_gradients, fd_grad, refinement_errors,

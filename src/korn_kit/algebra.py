@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * The row-built 9x9 operators L_diag, L_skew, L_sym and L = L_skew + L_sym
   are assembled from smat of the rows of a 3x3 matrix Y.  L is symmetric
   and det L == -2 * det(Y)**3, so L is invertible exactly when Y is.
+  These matrices are the reference algebra (inverse, determinant, G_P);
+  the curl-of-product formulas apply the operators to fields as cross
+  products of the rows of Y, since every block is +-smat(row of Y), and
+  never build a 9x9 matrix per point.
 * A "grad27" value collects the nine entry gradients of a matrix field,
   shape (9, 3): row k is the spatial gradient of vec(X)[k].
 
@@ -244,37 +248,52 @@ def hat_symvec(grad27):
     return _hat_select(grad27, _SYMVEC_IDX, _SYMVEC_SIGN)
 
 
+def _apply_l(y, gd, gs, gm) -> np.ndarray:
+    """Rows of L_diag @ gd + L_skew @ gs + L_sym @ gm, shape (..., 3, 3).
+
+    y holds Y and gd, gs, gm the 9-vectors as (..., 3, 3) blocks of three.
+    Every nonzero 3x3 block of the operators is +-smat of a row of Y, so
+    each block product is a cross product with that row.  gd=None drops
+    L_diag.
+    """
+    y0, y1, y2 = y[..., 0, :], y[..., 1, :], y[..., 2, :]
+    rows = [np.cross(y1, gs[..., 2, :]) - np.cross(y2, gs[..., 1, :]),
+            np.cross(y2, gs[..., 0, :]) - np.cross(y0, gm[..., 2, :]),
+            np.cross(y0, gm[..., 1, :]) - np.cross(y1, gm[..., 0, :])]
+    if gd is not None:
+        rows = [r - np.cross(y[..., n, :], gd[..., n, :]) for n, r in enumerate(rows)]
+    return np.stack(rows, axis=-2)
+
+
 def curl_product_pointwise(grad_x, x, y, curl_y) -> np.ndarray:
     """Row-wise curl of the product X @ Y from pointwise data.
 
     Evaluates mat(L_diag @ g_d + L_skew @ g_s + L_sym @ g_m) + X @ curl(Y),
     where g_d, g_s, g_m are the stacked gradients of the diagonal,
     strictly-upper and strictly-lower extractions of X, read off grad_x.
+    The L products are cross products of the rows of Y (see _apply_l), so
+    memory stays a few 3x3 arrays per point; build_l_operators gives the
+    same operators as 9x9 matrices.
     """
     grad_x = _as_float_array(grad_x, (9, 3), "grad_x")
     x = _as_float_array(x, (3, 3), "x")
     y = _as_float_array(y, (3, 3), "y")
     curl_y = _as_float_array(curl_y, (3, 3), "curl_y")
-    ops = build_l_operators(y)
-    combo = (
-        np.einsum("...pq,...q->...p", ops.diag, hat_dvec(grad_x))
-        + np.einsum("...pq,...q->...p", ops.skew, hat_skewvec(grad_x))
-        + np.einsum("...pq,...q->...p", ops.sym, hat_symvec(grad_x))
-    )
-    return mat_of_vec(combo) + x @ curl_y
+    gd, gs, gm = (g.reshape(g.shape[:-1] + (3, 3))
+                  for g in (hat_dvec(grad_x), hat_skewvec(grad_x), hat_symvec(grad_x)))
+    return _apply_l(y, gd, gs, gm) + x @ curl_y
 
 
 def curl_product_skew_pointwise(grad_axl, a, y, curl_y) -> np.ndarray:
     """Row-wise curl of A @ Y for skew A, from the gradient of its axial vector.
 
     grad_axl is the 3x3 Jacobian of the axial vector (row i is the gradient
-    of component i); the result is mat(L @ vec(grad_axl)) + A @ curl(Y).
+    of component i); the result is mat(L @ vec(grad_axl)) + A @ curl(Y),
+    with L @ g applied as L_skew @ g + L_sym @ g.
     """
     grad_axl = _as_float_array(grad_axl, (3, 3), "grad_axl")
     if not isinstance(a, SkewMat3):
         a = SkewMat3.from_matrix(a)
     y = _as_float_array(y, (3, 3), "y")
     curl_y = _as_float_array(curl_y, (3, 3), "curl_y")
-    l_full = build_l_operators(y).full
-    combo = np.einsum("...pq,...q->...p", l_full, vec_of_mat(grad_axl))
-    return mat_of_vec(combo) + a.matrix @ curl_y
+    return _apply_l(y, None, grad_axl, grad_axl) + a.matrix @ curl_y

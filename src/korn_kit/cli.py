@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, analytic, fieldio, korn, reporting, transport
-from .errors import ConfigError, KornKitError
+from .errors import ConfigError, GridTooLarge, KornKitError
 from .fields import (GridSpec, MatrixField, VectorField,
                      curl_product_discrepancy, refinement_errors)
 
@@ -111,6 +111,8 @@ def _grid_from_params(params, key_shape="shape", key_spacing="spacing",
         origin = (0.0,) * len(shape)
     try:
         return GridSpec(shape, tuple(float(c) for c in origin), float(spacing))
+    except GridTooLarge:
+        raise
     except (ValueError, KornKitError) as exc:
         raise ConfigError(f"invalid grid parameters: {exc}", key=key_shape)
 

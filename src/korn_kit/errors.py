@@ -13,6 +13,10 @@ class GridTooSmall(KornKitError):
     """A finite-difference stencil needs at least 3 points per axis."""
 
 
+class GridTooLarge(KornKitError, ValueError):
+    """A grid has more points than POINT_CAP; refused before any array exists."""
+
+
 class DimensionMismatch(KornKitError):
     """An operation received fields of incompatible dimension."""
 

@@ -218,6 +218,22 @@ class TestCurlProduct:
                 + algebra.smat(zeta) @ curl_y
             assert general == pytest.approx(direct, abs=1e-13)
 
+    def test_general_batch_matches_9x9_operators(self):
+        # oracle: contract the three 9x9 operators of build_l_operators
+        rng = np.random.default_rng(9)
+        grad27 = rng.uniform(-1, 1, (200, 9, 3))
+        x = rng.uniform(-1, 1, (200, 3, 3))
+        y = rng.uniform(-1, 1, (200, 3, 3))
+        curl_y = rng.uniform(-1, 1, (200, 3, 3))
+        ops = algebra.build_l_operators(y)
+        combo = (np.einsum("...pq,...q->...p", ops.diag, algebra.hat_dvec(grad27))
+                 + np.einsum("...pq,...q->...p", ops.skew, algebra.hat_skewvec(grad27))
+                 + np.einsum("...pq,...q->...p", ops.sym, algebra.hat_symvec(grad27)))
+        expected = algebra.mat_of_vec(combo) + x @ curl_y
+        got = algebra.curl_product_pointwise(grad27, x, y, curl_y)
+        assert got.shape == (200, 3, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
     def test_polynomial_against_symbolic_differentiation(self):
         x1, x2, x3 = sympy.symbols("x1 x2 x3")
         syms = (x1, x2, x3)

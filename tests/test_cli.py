@@ -61,6 +61,20 @@ class TestExitCodes:
         report = read_report(tmp_path, "verify_curl.json")
         assert report["passed"] is False
 
+    def test_oversized_grid_is_typed_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": 257}))
+        code = run_cli(["verify-curl", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
+
+    def test_oversized_grid_from_shape_list_is_typed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [257, 257, 257]}))
+        code = run_cli(["korn", "eig", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
+
 
 class TestReports:
     def test_reports_embed_hash_seed_tolerance(self, tmp_path):

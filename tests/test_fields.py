@@ -1,10 +1,13 @@
 """Grid fields, finite differences, and the field-level product identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from korn_kit import analytic
-from korn_kit.errors import DimensionMismatch, GridTooSmall, UnknownKind
+from korn_kit import algebra, analytic, fields
+from korn_kit.errors import (DimensionMismatch, GridTooLarge, GridTooSmall,
+                             UnknownKind)
 from korn_kit.fields import (ConvergenceReport, GridSpec, MatrixField,
                              VectorField, curl_product_discrepancy,
                              fd_curl_rowwise, fd_entry_gradients, fd_grad,
@@ -39,6 +42,10 @@ class TestGridSpec:
     def test_point_cap(self):
         with pytest.raises(ValueError):
             GridSpec((4096, 4096, 4096), (0.0, 0.0, 0.0), 0.1)
+
+    def test_point_cap_is_typed(self):
+        with pytest.raises(GridTooLarge):
+            GridSpec((257,) * 3, (0.0,) * 3, 1.0 / 256)
 
     def test_face_grid(self):
         g = unit_grid(5)
@@ -199,6 +206,33 @@ class TestVerifyCurlProduct:
         with_exact = curl_product_discrepancy(x.sample(g), y.sample(g),
                                               y.sample_curl(g))
         assert np.isfinite(with_exact)
+
+    def test_slabs_match_single_pass(self):
+        g = unit_grid(33)
+        # the 31 interior planes do not fit in one slab
+        assert fields._SLAB_POINTS // (33 * 33) < 31
+        x = analytic.random_trig_matrix(11, wavenumber=2.0).sample(g)
+        y = analytic.random_trig_matrix(12, wavenumber=2.0).sample(g)
+        lhs = fd_curl_rowwise(MatrixField(g, x.values @ y.values))
+        inner = g.interior()
+        rhs = algebra.curl_product_pointwise(
+            fd_entry_gradients(x)[inner], x.values[inner], y.values[inner],
+            fd_curl_rowwise(y).values[inner])
+        single = float(np.max(np.abs(lhs.values[inner] - rhs)))
+        assert curl_product_discrepancy(x, y) == single
+
+    def test_peak_memory_per_point(self):
+        # per-point 9x9 operators took about 3.2 KB per grid point
+        g = unit_grid(33)
+        x = analytic.random_trig_matrix(13, wavenumber=2.0).sample(g)
+        y = analytic.random_trig_matrix(14, wavenumber=2.0).sample(g)
+        tracemalloc.start()
+        try:
+            curl_product_discrepancy(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * g.num_points
 
     def test_grid_mismatch(self):
         x = MatrixField.constant(unit_grid(5), np.eye(3))

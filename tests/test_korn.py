@@ -181,6 +181,14 @@ class TestMinRayleigh:
         assert not iterative.dense
         assert iterative.lambda_min == pytest.approx(dense.lambda_min, rel=1e-8)
 
+    def test_iterative_path_is_reproducible(self):
+        g = unit_cell_grid()
+        form = assemble_form(KornProblem(g, identity_p(g), face_mask(g, 0, 0)))
+        first = min_rayleigh(form, "l2", dense_cap=0)
+        second = min_rayleigh(form, "l2", dense_cap=0)
+        assert not first.dense
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+
 
 class TestBuildGP:
     def test_identity_p_gives_zero(self):
