@@ -419,11 +419,15 @@ def _run_korn_eig(cfg: RunConfig, rng):
         passed = all(r.kernel_dim == expected for r in results.values())
     else:
         passed = all(r.lambda_min > r.kernel_threshold for r in results.values())
+    # a kernel census that may have missed kernel pairs proves nothing
+    passed = passed and all(r.census_complete for r in results.values())
 
     body = {"gamma": "none" if gamma is None else params.get("gamma"),
             "n_dofs": form.n_dofs,
             "results": {g: {"lambda_min": r.lambda_min, "kernel_dim": r.kernel_dim,
                             "kernel_threshold": r.kernel_threshold,
+                            "census_complete": r.census_complete,
+                            "eigenpair_residual": r.eigenpair_residual,
                             "dense": r.dense}
                         for g, r in results.items()}}
     rows = []
@@ -448,6 +452,8 @@ def _run_korn_probe(cfg: RunConfig, rng):
             "lambda_min": probe.lambda_min,
             "kernel_threshold": probe.kernel_threshold,
             "kernel_dim": probe.kernel_dim,
+            "census_complete": probe.census_complete,
+            "eigenpair_residual": probe.eigenpair_residual,
             "kernel_found": probe.kernel_found,
             "diagnosis": probe.diagnosis}
     if probe.diagnostics is not None:

@@ -211,8 +211,10 @@ def fd_curl_rowwise(m: MatrixField) -> MatrixField:
     _require_stencil_room(grid)
     out = np.empty_like(m.values)
     for l in range(3):
+        # curl_row never reads the derivative of entry c along axis c
         out[..., l, :] = algebra.curl_row(
-            [[_diff(m.values[..., l, c], grid, j) for j in range(3)] for c in range(3)])
+            [[_diff(m.values[..., l, c], grid, j) if j != c else None
+              for j in range(3)] for c in range(3)])
     return MatrixField(grid, out)
 
 

@@ -36,6 +36,15 @@ from .transport import CoefficientTensorField, ResidualReport, system_residual
 # einsum in build_gp sums in an order that follows its operands' layout
 _EPS3 = np.ascontiguousarray(np.moveaxis(algebra.smat(np.eye(3)), 0, 1))
 
+# Nested-dissection ordering for the sparse factorisation (George 1973): the
+# B^T B stencil reaches two index layers along an axis, so a plane separator
+# that thick leaves its two sides uncoupled; a block whose longest side has at
+# most _ND_LEAF points is not cut
+_ND_SEPARATOR = 2
+_ND_LEAF = 3
+# relative eigenpair residual above which a solve counts as failed
+_PAIR_RESIDUAL_BOUND = 1e-8
+
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
     """Points with at least one extremal index."""
@@ -212,7 +221,13 @@ def assemble_form(problem: KornProblem) -> DiscreteForm:
 
 @dataclass(frozen=True)
 class RayleighResult:
-    """Smallest generalized eigenpair of (form, gram) plus kernel census."""
+    """Smallest generalized eigenpairs of (form, gram) plus kernel census.
+
+    census_complete says whether kernel_dim counts the whole kernel: either
+    every pair was computed or the largest computed eigenvalue clears the
+    kernel threshold.  eigenpair_residual is the largest relative residual
+    ||A v - lambda M v|| / (||A||_1 ||v||) over the computed pairs.
+    """
 
     lambda_min: float
     eigenvector: VectorField
@@ -221,42 +236,124 @@ class RayleighResult:
     kernel_threshold: float
     gram: str
     dense: bool
+    census_complete: bool
+    eigenpair_residual: float
+
+
+def _identity_scale(m: sp.spmatrix) -> Optional[float]:
+    """c when m is c times the identity with c > 0, else None."""
+    diag = m.diagonal()
+    if (diag.size and diag[0] > 0 and np.all(diag == diag[0])
+            and m.count_nonzero() == diag.size):
+        return float(diag[0])
+    return None
+
+
+def _nd_order(form: DiscreteForm) -> np.ndarray:
+    """Nested-dissection permutation of the free DOFs of a form.
+
+    Each block of grid points is cut across its longest axis by a plane
+    separator _ND_SEPARATOR layers thick and ordered left block, right
+    block, separator, recursively; points stay point-major with their three
+    components, and clamped DOFs are dropped.
+    """
+    shape = form.grid.shape
+    blocks = []
+
+    def dissect(lo, hi):
+        sides = [b - a for a, b in zip(lo, hi)]
+        ax = int(np.argmax(sides))
+        if sides[ax] <= _ND_LEAF:
+            blocks.append(np.ravel_multi_index(
+                np.ix_(*map(np.arange, lo, hi)), shape).reshape(-1))
+            return
+        cut = lo[ax] + (sides[ax] - _ND_SEPARATOR) // 2
+
+        def at(bound, value):
+            return bound[:ax] + (value,) + bound[ax + 1:]
+
+        dissect(lo, at(hi, cut))
+        dissect(at(lo, cut + _ND_SEPARATOR), hi)
+        dissect(at(lo, cut), at(hi, cut + _ND_SEPARATOR))
+
+    dissect((0,) * len(shape), shape)
+    dofs = (3 * np.concatenate(blocks)[:, None] + np.arange(3)).reshape(-1)
+    free_index = np.cumsum(form.free) - 1
+    return free_index[dofs[form.free[dofs]]]
+
+
+def _shift_invert(a: sp.spmatrix, m: sp.spmatrix, sigma: float,
+                  order: np.ndarray) -> spla.LinearOperator:
+    """(a - sigma m)^{-1}, applied through one factor in the given DOF order."""
+    shifted = (a - sigma * m).tocsr()[order][:, order].tocsc()
+    lu = spla.splu(shifted, permc_spec="NATURAL", options={"SymmetricMode": True})
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b[order])
+        return x
+
+    return spla.LinearOperator(a.shape, matvec=solve, dtype=float)
+
+
+def _pair_residual(a: sp.spmatrix, m: sp.spmatrix, w: np.ndarray,
+                   v: np.ndarray) -> float:
+    """max_i ||a v_i - w_i m v_i|| / (||a||_1 ||v_i||); fails above the bound."""
+    norms = np.linalg.norm(a @ v - (m @ v) * w, axis=0) / np.linalg.norm(v, axis=0)
+    residual = float(np.max(norms)) / float(spla.norm(a, 1))
+    if not residual <= _PAIR_RESIDUAL_BOUND:
+        raise EigensolveFailed(f"eigenpair residual {residual:.3e} exceeds "
+                               f"{_PAIR_RESIDUAL_BOUND:.0e}")
+    return residual
 
 
 def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = 6000,
                  n_eigs: int = 12) -> RayleighResult:
-    """Smallest Rayleigh quotient of the form against the chosen Gram.
+    """The n_eigs smallest Rayleigh quotients of the form against the chosen Gram.
 
-    Dense symmetric-definite solve up to dense_cap DOFs, shift-and-invert
-    Lanczos above.  Eigenvalues below 1e-10 * trace(form)/DOFs count as
-    kernel; for the iterative path the census only sees the computed batch.
+    Up to dense_cap DOFs LAPACK computes only those pairs; a Gram that is a
+    multiple c I of the identity (the L2 Gram) gives the standard problem
+    on the form alone, with eigenvalues divided by c.  Above the cap,
+    shift-and-invert Lanczos finds min(n_eigs, DOFs - 1) pairs from one
+    sparse factor of the shifted form in nested-dissection order.
+    Eigenvalues below 1e-10 * trace(form)/DOFs count as kernel; the census
+    is complete only when it cannot miss kernel pairs beyond the computed
+    ones.  Every pair is checked by its relative residual, and a solve whose
+    residual exceeds 1e-8 raises EigensolveFailed.
     """
     n = form.n_dofs
+    a = form.operator
     m = form.gram(gram)
-    threshold = 1e-10 * float(form.operator.diagonal().sum()) / max(n, 1)
+    threshold = 1e-10 * float(a.diagonal().sum()) / max(n, 1)
+    dense = n <= dense_cap
+    k = min(n_eigs, n if dense else n - 1)
     try:
-        if n <= dense_cap:
-            w, v = scipy.linalg.eigh(form.operator.toarray(), m.toarray())
-            dense = True
+        if dense:
+            scale = _identity_scale(m)
+            if scale is None:
+                w, v = scipy.linalg.eigh(a.toarray(), m.toarray(),
+                                         subset_by_index=(0, k - 1))
+            else:
+                w, v = scipy.linalg.eigh(a.toarray(), subset_by_index=(0, k - 1))
+                w = w / scale
         else:
-            scale = float(form.operator.diagonal().max())
+            sigma = -1e-6 * max(float(a.diagonal().max()), 1.0)
             # a fixed start vector keeps ARPACK, and so the report, reproducible
-            w, v = spla.eigsh(form.operator, k=min(n_eigs, n - 1), M=m,
-                              sigma=-1e-6 * max(scale, 1.0), which="LM",
-                              v0=np.ones(n))
+            w, v = spla.eigsh(a, k=k, M=m, sigma=sigma, which="LM", v0=np.ones(n),
+                              OPinv=_shift_invert(a, m, sigma, _nd_order(form)))
             order = np.argsort(w)
             w, v = w[order], v[:, order]
-            dense = False
-    except Exception as exc:  # arpack / lapack failures
+    except (RuntimeError, ValueError) as exc:  # arpack / superlu / lapack failures
         raise EigensolveFailed(str(exc)) from exc
+    residual = _pair_residual(a, m, w, v)
     kernel_dim = int(np.count_nonzero(w < threshold))
+    census_complete = bool(k == n or w[-1] >= threshold)
     vec = v[:, 0]
     peak = np.max(np.abs(vec))
     if peak > 0:
         vec = vec / peak
-    kept = np.asarray(w[:min(len(w), 32)], dtype=float)
-    return RayleighResult(float(w[0]), form.embed(vec), kept, kernel_dim,
-                          float(threshold), gram, dense)
+    return RayleighResult(float(w[0]), form.embed(vec), w, kernel_dim,
+                          float(threshold), gram, dense, census_complete, residual)
 
 
 def build_gp(P: MatrixField, curl_p: Optional[MatrixField] = None,
@@ -276,10 +373,8 @@ def build_gp(P: MatrixField, curl_p: Optional[MatrixField] = None,
     elif curl_p.grid != grid:
         raise ValueError("curl_p must live on the grid of P")
     l_full = algebra.build_l_operators(P.values).full
-    l_inv = np.linalg.inv(l_full)
     x9 = np.einsum("imk,...kj->...ijm", _EPS3, curl_p.values)
-    x9 = x9.reshape(grid.shape + (9, 3))
-    m9 = -np.einsum("...pq,...qm->...pm", l_inv, x9)
+    m9 = -np.linalg.solve(l_full, x9.reshape(grid.shape + (9, 3)))
     return CoefficientTensorField(grid, m9.reshape(grid.shape + (3, 3, 3)))
 
 
@@ -325,6 +420,8 @@ class ProbeReport:
     gram: str
     diagnostics: Optional[KernelDiagnostics]
     diagnosis: str
+    census_complete: bool
+    eigenpair_residual: float
 
 
 def norm_property_probe(problem: KornProblem, gram: str = "l2", *,
@@ -338,7 +435,8 @@ def norm_property_probe(problem: KornProblem, gram: str = "l2", *,
         return ProbeReport(ray.lambda_min, ray.kernel_threshold, ray.kernel_dim,
                            False, gram, None,
                            "smallest Rayleigh quotient is positive: the seminorm "
-                           "is a norm on the constrained space at this resolution")
+                           "is a norm on the constrained space at this resolution",
+                           ray.census_complete, ray.eigenpair_residual)
     diag = kernel_vector_diagnostics(problem, ray.eigenvector, residual_tol)
     if diag.boundary_condition_missing:
         message = ("kernel displacement found; its axial vector solves the "
@@ -352,7 +450,8 @@ def norm_property_probe(problem: KornProblem, gram: str = "l2", *,
         message = ("kernel displacement found; the transport identity fails at "
                    "this resolution, pointing at discretization error")
     return ProbeReport(ray.lambda_min, ray.kernel_threshold, ray.kernel_dim,
-                       True, gram, diag, message)
+                       True, gram, diag, message, ray.census_complete,
+                       ray.eigenpair_residual)
 
 
 @dataclass(frozen=True)

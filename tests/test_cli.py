@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config validation, reports, exit codes."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from korn_kit import cli, fieldio
+from korn_kit import cli, fieldio, korn
 from korn_kit.fields import GridSpec, VectorField
 from korn_kit.transport import CoefficientTensorField
 
@@ -212,6 +213,25 @@ class TestKornCommands:
         assert report["results"]["l2"]["kernel_dim"] == 6
         assert report["results"]["h1"]["kernel_dim"] == 6
 
+    def test_eig_reports_census_and_residual(self, tmp_path):
+        assert run_cli(["korn", "eig", "--out", str(tmp_path)]) == 0
+        result = read_report(tmp_path, "korn_eig.json")["results"]["l2"]
+        assert result["census_complete"] is True
+        assert 0.0 <= result["eigenpair_residual"] <= 1e-12
+
+    def test_eig_fails_on_incomplete_census(self, tmp_path, monkeypatch):
+        # six computed pairs on the free problem are all kernel: the census
+        # finds the expected six but cannot rule out more
+        short = functools.partial(korn.min_rayleigh, n_eigs=6)
+        monkeypatch.setattr(korn, "min_rayleigh", short)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": "none"}))
+        assert run_cli(["korn", "eig", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 1
+        result = read_report(tmp_path, "korn_eig.json")["results"]["l2"]
+        assert result["kernel_dim"] == 6
+        assert result["census_complete"] is False
+
     def test_probe_clamped(self, tmp_path):
         assert run_cli(["korn", "probe", "--out", str(tmp_path)]) == 0
         report = read_report(tmp_path, "korn_probe.json")
@@ -225,6 +245,12 @@ class TestKornCommands:
         report = read_report(tmp_path, "korn_probe.json")
         assert report["kernel_found"] is True
         assert report["boundary_condition_missing"] is True
+
+    def test_probe_reports_census_and_residual(self, tmp_path):
+        assert run_cli(["korn", "probe", "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "korn_probe.json")
+        assert report["census_complete"] is True
+        assert 0.0 <= report["eigenpair_residual"] <= 1e-12
 
     def test_rigid_affine(self, tmp_path):
         assert run_cli(["korn", "rigid", "--out", str(tmp_path)]) == 0

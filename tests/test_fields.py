@@ -153,6 +153,14 @@ class TestFdCurl:
         with pytest.raises(DimensionMismatch):
             fd_curl_rowwise(MatrixField.constant(g, np.eye(2)))
 
+    def test_matches_curl_row_fed_all_nine_derivatives(self):
+        g = GridSpec((7, 9, 8), (0.0,) * 3, 0.125)
+        m = analytic.random_trig_matrix(3, wavenumber=2.0).sample(g)
+        expected = np.stack([algebra.curl_row(
+            [[np.gradient(m.values[..., l, c], g.spacing, axis=j, edge_order=2)
+              for j in range(3)] for c in range(3)]) for l in range(3)], axis=-2)
+        assert np.array_equal(fd_curl_rowwise(m).values, expected)
+
     def test_curl_of_gradient_within_h_squared(self):
         # mixed difference operators commute exactly, so the residual sits at
         # roundoff, far below the h^2 budget the bound allows

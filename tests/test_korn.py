@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from korn_kit import algebra, analytic
-from korn_kit.errors import DeterminantTooSmall, DimensionMismatch, UnknownKind
+from korn_kit.errors import (DeterminantTooSmall, DimensionMismatch,
+                             EigensolveFailed, UnknownKind)
 from korn_kit.fields import (GridSpec, MatrixField, VectorField,
                              fd_curl_rowwise, fd_grad, refinement_errors)
 from korn_kit.korn import (KornProblem, assemble_form, boundary_mask, build_gp,
@@ -17,6 +19,7 @@ from korn_kit.korn import (KornProblem, assemble_form, boundary_mask, build_gp,
                            min_rayleigh, norm_property_probe, rigid_recover,
                            seminorm, sweep_roughness, sym_conjugation_residual,
                            sym_conjugation_sides)
+from korn_kit.korn import _nd_order, _pair_residual
 
 
 def unit_cell_grid(n=5):
@@ -190,6 +193,80 @@ class TestMinRayleigh:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
 
+class TestEigensolvePaths:
+    """The subset dense solve and the nested-dissection sparse solve."""
+
+    def forms(self):
+        g = unit_cell_grid()
+        p = builtin_p_field("rotation-valued", g)
+        return {"free": assemble_form(KornProblem(g, p, None)),
+                "clamped": assemble_form(KornProblem(g, p, face_mask(g, 0, 0)))}
+
+    def test_dense_subset_matches_full_generalized_solve(self):
+        for name, form in self.forms().items():
+            for gram in ("l2", "h1"):
+                result = min_rayleigh(form, gram)
+                full = scipy.linalg.eigh(form.operator.toarray(),
+                                         form.gram(gram).toarray(),
+                                         eigvals_only=True)[:12]
+                assert result.dense and len(result.eigenvalues) == 12
+                # relative to the largest compared eigenvalue: the free
+                # kernel eigenvalues are roundoff around zero
+                gap = np.max(np.abs(result.eigenvalues - full))
+                assert gap <= 1e-10 * np.max(np.abs(full)), (name, gram)
+
+    def test_nd_sparse_matches_dense_graded_roughness(self):
+        g = GridSpec((7,) * 3, (0.0,) * 3, 1.0 / 6)
+        p = builtin_p_field("graded-roughness", g, seed=3, frequency=2.0)
+        form = assemble_form(KornProblem(g, p, face_mask(g, 0, 0)))
+        for gram in ("l2", "h1"):
+            dense = min_rayleigh(form, gram)
+            sparse = min_rayleigh(form, gram, dense_cap=0)
+            assert dense.dense and not sparse.dense
+            assert sparse.lambda_min == pytest.approx(dense.lambda_min, rel=1e-8)
+            assert np.allclose(sparse.eigenvalues, dense.eigenvalues,
+                               rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("shape,clamped", [((5, 5, 5), True), ((5, 5, 5), False),
+                                               ((5, 7, 9), True), ((5, 7, 9), False)])
+    def test_nd_order_is_a_permutation_of_the_free_dofs(self, shape, clamped):
+        g = GridSpec(shape, (0.0,) * 3, 0.25)
+        gamma = face_mask(g, 2, 1) if clamped else None
+        form = assemble_form(KornProblem(g, identity_p(g), gamma))
+        order = _nd_order(form)
+        assert np.array_equal(np.sort(order), np.arange(form.n_dofs))
+
+    def test_census_incomplete_when_kernel_fills_the_batch(self):
+        g = unit_cell_grid()
+        free = assemble_form(KornProblem(g, identity_p(g), None))
+        for cap in (6000, 0):
+            short = min_rayleigh(free, "l2", dense_cap=cap, n_eigs=6)
+            full = min_rayleigh(free, "l2", dense_cap=cap)
+            assert short.dense == full.dense == (cap > 0)
+            assert short.kernel_dim == full.kernel_dim == 6
+            assert short.census_complete is False
+            assert full.census_complete is True
+
+    def test_residuals_are_reported_on_both_paths(self):
+        form = self.forms()["clamped"]
+        for cap in (6000, 0):
+            for gram in ("l2", "h1"):
+                result = min_rayleigh(form, gram, dense_cap=cap)
+                assert 0.0 <= result.eigenpair_residual <= 1e-12
+
+    def test_residual_check_rejects_doctored_pairs(self):
+        form = self.forms()["clamped"]
+        a, m = form.operator, form.gram("h1")
+        w, v = scipy.linalg.eigh(a.toarray(), m.toarray(), subset_by_index=(0, 11))
+        assert _pair_residual(a, m, w, v) <= 1e-12
+        with pytest.raises(EigensolveFailed):
+            _pair_residual(a, m, w[::-1], v)  # eigenvalues out of order
+        with pytest.raises(EigensolveFailed):
+            _pair_residual(a, m, w, v[_nd_order(form)])  # rows left permuted
+        with pytest.raises(EigensolveFailed):
+            _pair_residual(a, m, w, v * np.nan)
+
+
 class TestBuildGP:
     def test_identity_p_gives_zero(self):
         g = unit_cell_grid()
@@ -240,6 +317,18 @@ class TestBuildGP:
         base = GridSpec((9,) * 3, (0.0,) * 3, 1.0 / 8)
         report = refinement_errors(identity_gap, base, levels=3)
         assert report.min_order >= 1.9
+
+    def test_matches_inverse_reference(self):
+        g = unit_cell_grid(7)
+        for p in (builtin_p_field("rotation-valued", g),
+                  builtin_p_field("graded-roughness", g, seed=2, frequency=3.0)):
+            curl_p = fd_curl_rowwise(p)
+            l_inv = np.linalg.inv(algebra.build_l_operators(p.values).full)
+            x9 = np.einsum("mik,...kj->...ijm", algebra.smat(np.eye(3)),
+                           curl_p.values).reshape(g.shape + (9, 3))
+            expected = -np.einsum("...pq,...qm->...pm", l_inv, x9)
+            got = build_gp(p, curl_p).values.reshape(g.shape + (9, 3))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_determinant_floor(self):
         g = unit_cell_grid()
