@@ -10,10 +10,10 @@ from .errors import (ConfigError, DeterminantTooSmall, DimensionMismatch,
                      GridTooLarge, GridTooSmall, KornKitError,
                      NonFiniteCoefficient, NotIntegrable, SeedOutsideDomain,
                      UnknownKind)
-from .fields import (ConvergenceReport, GridSpec, MatrixField, VectorField,
-                     curl_product_discrepancy, fd_curl_rowwise,
-                     fd_entry_gradients, fd_grad, refinement_errors,
-                     verify_curl_product)
+from .fields import (CoefficientTensorField, ConvergenceReport, GridSpec,
+                     MatrixField, VectorField, curl_product_discrepancy,
+                     fd_curl_rowwise, fd_entry_gradients, fd_grad,
+                     refinement_errors, verify_curl_product)
 from .fieldio import load_field, load_field_csv, save_field, save_field_csv
 from .korn import (DiscreteForm, KornProblem, ProbeReport, RayleighResult,
                    RigidRecovery, assemble_form, build_gp, builtin_p_field,
@@ -21,12 +21,11 @@ from .korn import (DiscreteForm, KornProblem, ProbeReport, RayleighResult,
                    norm_property_probe, rigid_recover, seminorm,
                    sweep_roughness, sym_conjugation_residual,
                    sym_conjugation_sides)
-from .transport import (CoefficientTensorField, CoverageReport,
-                        CounterexampleReport, GronwallBound, IntegrabilityReport,
-                        LineCoefficient, ResidualReport, Trajectory, ball_mask,
-                        counterexample_demo, cuboid_mask, flood_propagate,
-                        gronwall_bound, integrate_line, integrate_norm,
-                        propagate_cube, system_residual)
+from .transport import (CoverageReport, CounterexampleReport, GronwallBound,
+                        IntegrabilityReport, LineCoefficient, ResidualReport,
+                        Trajectory, counterexample_demo, cuboid_mask,
+                        flood_propagate, gronwall_bound, integrate_line,
+                        integrate_norm, propagate_cube, system_residual)
 
 __version__ = "0.1.0"
 

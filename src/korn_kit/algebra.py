@@ -33,6 +33,7 @@ DEFAULT_MIN_DET = 1e-12
 # vec indices of the diagonal, strictly-upper and strictly-lower entries,
 # with signs, as consumed by the three extraction maps.
 _DVEC_IDX = (0, 4, 8)
+_DVEC_SIGN = (1.0, 1.0, 1.0)
 _SKEWVEC_IDX = (5, 2, 1)
 _SKEWVEC_SIGN = (-1.0, 1.0, -1.0)
 _SYMVEC_IDX = (7, 6, 3)
@@ -159,16 +160,15 @@ def symvec(m):
 
 @dataclass(frozen=True)
 class LOperators:
-    """The four row-built 9x9 operators of a 3x3 matrix."""
+    """The four row-built 9x9 operators of a 3x3 matrix; full = skew + sym."""
 
     diag: np.ndarray
     skew: np.ndarray
     sym: np.ndarray
-    full: np.ndarray = field(default=None)
+    full: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.full is None:
-            object.__setattr__(self, "full", self.skew + self.sym)
+        object.__setattr__(self, "full", self.skew + self.sym)
 
 
 def build_l_operators(y) -> LOperators:
@@ -233,7 +233,7 @@ def _hat_select(grad27, idx, sign):
 def hat_dvec(grad27):
     """Stacked gradient of the diagonal extraction, from entry gradients."""
     grad27 = _as_float_array(grad27, (9, 3), "grad27")
-    return _hat_select(grad27, _DVEC_IDX, (1.0, 1.0, 1.0))
+    return _hat_select(grad27, _DVEC_IDX, _DVEC_SIGN)
 
 
 def hat_skewvec(grad27):
@@ -279,8 +279,11 @@ def curl_product_pointwise(grad_x, x, y, curl_y) -> np.ndarray:
     x = _as_float_array(x, (3, 3), "x")
     y = _as_float_array(y, (3, 3), "y")
     curl_y = _as_float_array(curl_y, (3, 3), "curl_y")
-    gd, gs, gm = (g.reshape(g.shape[:-1] + (3, 3))
-                  for g in (hat_dvec(grad_x), hat_skewvec(grad_x), hat_symvec(grad_x)))
+    # grad_x is checked once here, not again by each public hat_* map
+    gd, gs, gm = (_hat_select(grad_x, idx, sign).reshape(grad_x.shape[:-2] + (3, 3))
+                  for idx, sign in ((_DVEC_IDX, _DVEC_SIGN),
+                                    (_SKEWVEC_IDX, _SKEWVEC_SIGN),
+                                    (_SYMVEC_IDX, _SYMVEC_SIGN)))
     return _apply_l(y, gd, gs, gm) + x @ curl_y
 
 

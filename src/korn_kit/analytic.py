@@ -38,8 +38,39 @@ def _monomial_derivatives(points, exponents):
     return out
 
 
+class AnalyticVectorField:
+    """Sampling shared by the vector families, which define value and jacobian."""
+
+    def sample(self, grid: GridSpec) -> VectorField:
+        return VectorField(grid, self.value(grid.points()))
+
+    def sample_jacobian(self, grid: GridSpec) -> MatrixField:
+        return MatrixField(grid, self.jacobian(grid.points()))
+
+
+class AnalyticMatrixField:
+    """Curl and sampling shared by the matrix families.
+
+    A family defines value and entry_jacobian, the vec-ordered entry
+    gradients of shape (..., 9, 3), at points of shape (..., 3).
+    """
+
+    def curl(self, points):
+        grad27 = self.entry_jacobian(points)
+        # row l of the curl; the moved view has d[c][j] = d_j M_lc
+        return np.stack([algebra.curl_row(np.moveaxis(grad27[..., 3 * l:3 * l + 3, :],
+                                                      (-2, -1), (0, 1)))
+                         for l in range(3)], axis=-2)
+
+    def sample(self, grid: GridSpec) -> MatrixField:
+        return MatrixField(grid, self.value(grid.points()))
+
+    def sample_curl(self, grid: GridSpec) -> MatrixField:
+        return MatrixField(grid, self.curl(grid.points()))
+
+
 @dataclass(frozen=True)
-class PolynomialVectorField:
+class PolynomialVectorField(AnalyticVectorField):
     """Vector field with polynomial components: coeffs (3, T), exponents (T, 3)."""
 
     coeffs: np.ndarray
@@ -52,15 +83,9 @@ class PolynomialVectorField:
         d = _monomial_derivatives(points, self.exponents)
         return np.einsum("ct,...tj->...cj", self.coeffs, d)
 
-    def sample(self, grid: GridSpec) -> VectorField:
-        return VectorField(grid, self.value(grid.points()))
-
-    def sample_jacobian(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.jacobian(grid.points()))
-
 
 @dataclass(frozen=True)
-class PolynomialMatrixField:
+class PolynomialMatrixField(AnalyticMatrixField):
     """Matrix field with polynomial entries: coeffs (3, 3, T), exponents (T, 3)."""
 
     coeffs: np.ndarray
@@ -74,26 +99,9 @@ class PolynomialMatrixField:
         grad = np.einsum("rct,...tj->...rcj", self.coeffs, d)
         return grad.reshape(grad.shape[:-3] + (9, 3))
 
-    def curl(self, points):
-        return _curl_from_entry_jacobian(self.entry_jacobian(points))
-
-    def sample(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.value(grid.points()))
-
-    def sample_curl(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.curl(grid.points()))
-
-
-def _curl_from_entry_jacobian(grad27):
-    # row l of the curl from vec-ordered entry gradients; the moved view has
-    # d[c][j] = d_j M_lc
-    return np.stack([algebra.curl_row(np.moveaxis(grad27[..., 3 * l:3 * l + 3, :],
-                                                  (-2, -1), (0, 1)))
-                     for l in range(3)], axis=-2)
-
 
 @dataclass(frozen=True)
-class TrigMatrixField:
+class TrigMatrixField(AnalyticMatrixField):
     """Matrix field with entries amp * sin(wave . x + phase)."""
 
     amplitude: np.ndarray  # (3, 3)
@@ -109,18 +117,9 @@ class TrigMatrixField:
         grad = (self.amplitude * np.cos(arg))[..., None] * self.wave
         return grad.reshape(grad.shape[:-3] + (9, 3))
 
-    def curl(self, points):
-        return _curl_from_entry_jacobian(self.entry_jacobian(points))
-
-    def sample(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.value(grid.points()))
-
-    def sample_curl(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.curl(grid.points()))
-
 
 @dataclass(frozen=True)
-class TrigVectorField:
+class TrigVectorField(AnalyticVectorField):
     """Vector field with components amp * sin(wave . x + phase)."""
 
     amplitude: np.ndarray  # (3,)
@@ -135,15 +134,9 @@ class TrigVectorField:
         arg = np.einsum("cj,...j->...c", self.wave, points) + self.phase
         return (self.amplitude * np.cos(arg))[..., None] * self.wave
 
-    def sample(self, grid: GridSpec) -> VectorField:
-        return VectorField(grid, self.value(grid.points()))
-
-    def sample_jacobian(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.jacobian(grid.points()))
-
 
 @dataclass(frozen=True)
-class RotationMatrixField:
+class RotationMatrixField(AnalyticMatrixField):
     """Rotation-valued field R(theta(x)) about a fixed unit axis.
 
     theta(x) = base + lin . x + amp * sin(freq . x + phase), so the entry
@@ -186,15 +179,6 @@ class RotationMatrixField:
         grad = dr_dtheta[..., :, :, None] * dtheta[..., None, None, :]
         return grad.reshape(grad.shape[:-3] + (9, 3))
 
-    def curl(self, points):
-        return _curl_from_entry_jacobian(self.entry_jacobian(points))
-
-    def sample(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.value(grid.points()))
-
-    def sample_curl(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.curl(grid.points()))
-
 
 def _quadratic_exponents(per_axis_degree, total_degree):
     exps = []
@@ -207,38 +191,40 @@ def _quadratic_exponents(per_axis_degree, total_degree):
     return np.array(exps, dtype=int)
 
 
-def random_polynomial_matrix(seed, per_axis_degree=1, total_degree=2,
-                             scale=1.0) -> PolynomialMatrixField:
+def _random_polynomial(cls, lead, seed, per_axis_degree, total_degree):
+    rng = np.random.default_rng(seed)
+    exps = _quadratic_exponents(per_axis_degree, total_degree)
+    return cls(rng.uniform(-1.0, 1.0, lead + (len(exps),)), exps)
+
+
+def _random_trig(cls, lead, seed, amplitude, wavenumber):
+    # the draw order, amplitudes then wave vectors then phases, fixes each seed's field
+    rng = np.random.default_rng(seed)
+    return cls(amplitude * rng.uniform(0.5, 1.0, lead),
+               wavenumber * rng.uniform(-1.0, 1.0, lead + (3,)),
+               rng.uniform(0.0, 2.0 * np.pi, lead))
+
+
+def random_polynomial_matrix(seed, per_axis_degree=1,
+                             total_degree=2) -> PolynomialMatrixField:
     """Seeded polynomial matrix field; per-axis degree 1 keeps products
     stencil-exact under second-order differences."""
-    rng = np.random.default_rng(seed)
-    exps = _quadratic_exponents(per_axis_degree, total_degree)
-    coeffs = rng.uniform(-scale, scale, (3, 3, len(exps)))
-    return PolynomialMatrixField(coeffs, exps)
+    return _random_polynomial(PolynomialMatrixField, (3, 3), seed, per_axis_degree,
+                              total_degree)
 
 
-def random_polynomial_vector(seed, per_axis_degree=1, total_degree=2,
-                             scale=1.0) -> PolynomialVectorField:
-    rng = np.random.default_rng(seed)
-    exps = _quadratic_exponents(per_axis_degree, total_degree)
-    coeffs = rng.uniform(-scale, scale, (3, len(exps)))
-    return PolynomialVectorField(coeffs, exps)
+def random_polynomial_vector(seed, per_axis_degree=1,
+                             total_degree=2) -> PolynomialVectorField:
+    return _random_polynomial(PolynomialVectorField, (3,), seed, per_axis_degree,
+                              total_degree)
 
 
 def random_trig_matrix(seed, amplitude=1.0, wavenumber=1.0) -> TrigMatrixField:
-    rng = np.random.default_rng(seed)
-    amp = amplitude * rng.uniform(0.5, 1.0, (3, 3))
-    wave = wavenumber * rng.uniform(-1.0, 1.0, (3, 3, 3))
-    phase = rng.uniform(0.0, 2.0 * np.pi, (3, 3))
-    return TrigMatrixField(amp, wave, phase)
+    return _random_trig(TrigMatrixField, (3, 3), seed, amplitude, wavenumber)
 
 
 def random_trig_vector(seed, amplitude=1.0, wavenumber=1.0) -> TrigVectorField:
-    rng = np.random.default_rng(seed)
-    amp = amplitude * rng.uniform(0.5, 1.0, 3)
-    wave = wavenumber * rng.uniform(-1.0, 1.0, (3, 3))
-    phase = rng.uniform(0.0, 2.0 * np.pi, 3)
-    return TrigVectorField(amp, wave, phase)
+    return _random_trig(TrigVectorField, (3,), seed, amplitude, wavenumber)
 
 
 _KINDS = ("polynomial", "trigonometric", "rotation-valued")

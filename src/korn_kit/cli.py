@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algebra, analytic, fieldio, korn, reporting, transport
 from .errors import ConfigError, GridTooLarge, KornKitError
-from .fields import (GridSpec, MatrixField, VectorField,
+from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      curl_product_discrepancy, refinement_errors)
 
 SCHEMA = "korn-kit/1"
@@ -100,13 +100,12 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
                      reporting.config_hash(reporting.to_jsonable(effective)))
 
 
-def _grid_from_params(params, key_shape="shape", key_spacing="spacing",
-                      key_origin="origin") -> GridSpec:
-    shape = tuple(int(n) for n in params[key_shape])
-    spacing = params.get(key_spacing)
+def _grid_from_params(params) -> GridSpec:
+    shape = tuple(int(n) for n in params["shape"])
+    spacing = params.get("spacing")
     if spacing is None:
         spacing = 1.0 / shape[-1]
-    origin = params.get(key_origin)
+    origin = params.get("origin")
     if origin is None:
         origin = (0.0,) * len(shape)
     try:
@@ -114,7 +113,7 @@ def _grid_from_params(params, key_shape="shape", key_spacing="spacing",
     except GridTooLarge:
         raise
     except (ValueError, KornKitError) as exc:
-        raise ConfigError(f"invalid grid parameters: {exc}", key=key_shape)
+        raise ConfigError(f"invalid grid parameters: {exc}", key="shape")
 
 
 def _resolve_p_field(params):
@@ -130,17 +129,22 @@ def _resolve_p_field(params):
     return korn.builtin_p_field(name, grid, **family), grid
 
 
-def _gamma_from_params(params, grid):
-    gamma = params.get("gamma", {"axis": 0, "side": 0})
-    if gamma in (None, "none"):
-        return None
-    return korn.face_mask(grid, int(gamma.get("axis", 0)), int(gamma.get("side", 0)))
+def _face_from_params(params, key, grid):
+    """(axis, side) of the face that params[key] names, checked against the grid."""
+    spec = params[key]
+    axis, side = int(spec.get("axis", 0)), int(spec.get("side", 0))
+    if not 0 <= axis < grid.dim or side not in (0, 1):
+        raise ConfigError(f"{key} needs axis in 0..{grid.dim - 1} and side 0 or 1",
+                          key=key)
+    return axis, side
 
 
 def _korn_problem(params):
     p_field, grid = _resolve_p_field(params)
-    return korn.KornProblem(grid, p_field, _gamma_from_params(params, grid),
-                            min_det=float(params["min_det"]))
+    gamma = None
+    if params["gamma"] not in (None, "none"):
+        gamma = korn.face_mask(grid, *_face_from_params(params, "gamma", grid))
+    return korn.KornProblem(grid, p_field, gamma, min_det=float(params["min_det"]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +278,7 @@ def _exponential_case(grid):
     tensor = np.zeros((n, n, n))
     for i in range(n):
         tensor[i, n - 1, i] = 1.0
-    coef = transport.CoefficientTensorField.constant(grid, tensor)
-    return coef
+    return CoefficientTensorField.constant(grid, tensor)
 
 
 def _run_transport_propagate(cfg: RunConfig, rng):
@@ -286,7 +289,7 @@ def _run_transport_propagate(cfg: RunConfig, rng):
     if case == "files":
         coef = fieldio.load_field(params["g_file"])
         face = fieldio.load_field(params["face_file"])
-        if not isinstance(coef, transport.CoefficientTensorField):
+        if not isinstance(coef, CoefficientTensorField):
             raise ConfigError("g_file must hold a coefficient tensor", key="g_file")
         if not isinstance(face, VectorField):
             raise ConfigError("face_file must hold a vector field", key="face_file")
@@ -308,7 +311,7 @@ def _run_transport_propagate(cfg: RunConfig, rng):
         elif case == "zero":
             scale = float(params["coefficient_scale"])
             vals = scale * rng.uniform(-1.0, 1.0, grid.shape + (grid.dim,) * 3)
-            coef = transport.CoefficientTensorField(grid, vals)
+            coef = CoefficientTensorField(grid, vals)
             face = VectorField.zeros(grid.face(-1), grid.dim)
             exact = np.zeros(grid.shape + (grid.dim,))
             residual_tol = cfg.require_positive_tol(1e-10)
@@ -357,10 +360,11 @@ def _run_transport_flood(cfg: RunConfig, rng):
             raise ConfigError(f"unknown domain {domain_kind!r}", key="domain")
     shape = grid.shape
 
-    seed_spec = params["seed_region"]
-    axis = int(seed_spec.get("axis", 0))
-    side = int(seed_spec.get("side", 0))
-    thickness = int(seed_spec.get("thickness", 2))
+    axis, side = _face_from_params(params, "seed_region", grid)
+    thickness = int(params["seed_region"].get("thickness", 2))
+    if not 1 <= thickness <= shape[axis]:
+        raise ConfigError(f"seed_region thickness must lie in 1..{shape[axis]}",
+                          key="seed_region")
     seed_mask = np.zeros(shape, dtype=bool)
     sl = [slice(None)] * grid.dim
     sl[axis] = slice(0, thickness) if side == 0 else slice(-thickness, None)
@@ -369,10 +373,10 @@ def _run_transport_flood(cfg: RunConfig, rng):
 
     scale = float(params["coefficient_scale"])
     if scale == 0.0:
-        coef = transport.CoefficientTensorField.zeros(grid)
+        coef = CoefficientTensorField.zeros(grid)
     else:
         vals = scale * rng.uniform(-1.0, 1.0, shape + (grid.dim,) * 3)
-        coef = transport.CoefficientTensorField(grid, vals)
+        coef = CoefficientTensorField(grid, vals)
 
     if params.get("zeta_file"):
         zeta = fieldio.load_field(params["zeta_file"])
@@ -575,7 +579,7 @@ def run(config: RunConfig) -> int:
         "config_sha256": config.sha256,
         "tolerance": config.tol,
         "passed": bool(passed),
-        **{k: v for k, v in body.items()},
+        **body,
     }
     reporting.write_report(config.out_dir, config.experiment.replace("-", "_"),
                            report, tables)

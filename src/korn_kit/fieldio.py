@@ -21,8 +21,7 @@ import io
 
 import numpy as np
 
-from .fields import GridSpec, MatrixField, VectorField
-from .transport import CoefficientTensorField
+from .fields import CoefficientTensorField, GridSpec, MatrixField, VectorField
 
 CSV_POINT_CAP = 10 ** 4
 _MAGIC = "KFK1"

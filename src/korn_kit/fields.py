@@ -1,10 +1,13 @@
-"""Regular-grid vector and matrix fields on cuboids, with finite differences.
+"""Regular-grid fields on cuboids, with finite differences.
 
-Grids are uniform with spacing h on every axis.  Gradients use second-order
-central stencils in the interior and second-order one-sided stencils on the
-boundary faces, so differentiating any polynomial of per-axis degree <= 2 is
-exact up to roundoff.  The row-wise curl of a matrix field applies the usual
-vector curl to each row.
+Grids are uniform with spacing h on every axis.  The vector, matrix and
+coefficient tensor fields (the G of grad(zeta) = G zeta) share one base that
+checks the component shape and finiteness of the values.
+
+Gradients use second-order central stencils in the interior and
+second-order one-sided stencils on the boundary faces, so differentiating
+any polynomial of per-axis degree <= 2 is exact up to roundoff.  The
+row-wise curl of a matrix field applies the usual vector curl to each row.
 
 Verification of the curl-of-product identity compares the finite-difference
 curl of X @ Y against the pointwise formula fed with finite-difference entry
@@ -93,71 +96,74 @@ class GridSpec:
         return tuple(slice(1, -1) for _ in range(self.dim))
 
 
-def _check_values(grid, values, trailing, name):
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape + trailing:
-        raise ValueError(
-            f"{name} values must have shape {grid.shape + trailing}, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return values
-
-
 @dataclass(frozen=True)
-class VectorField:
-    """Per-point real vectors on a grid; component count may differ from dim."""
+class GridField:
+    """Per-point values on a grid; a subclass fixes the component shape."""
 
     grid: GridSpec
     values: np.ndarray
+    _rank = 0  # component axes after the grid axes, each of length grid.dim
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        shape = self.grid.shape + self._trailing(values)
+        if values.shape != shape:
+            raise ValueError(f"{type(self).__name__} values must have shape {shape}, "
+                             f"got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{type(self).__name__} contains non-finite entries")
+        object.__setattr__(self, "values", values)
+
+    def _trailing(self, values) -> tuple:
+        return (self.grid.dim,) * self._rank
+
+    @classmethod
+    def constant(cls, grid, value):
+        value = np.asarray(value, dtype=float)
+        return cls(grid, np.broadcast_to(value, grid.shape + value.shape).copy())
+
+    def max_norm(self) -> float:
+        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+
+
+class VectorField(GridField):
+    """Per-point real vectors on a grid; component count may differ from dim."""
+
+    def _trailing(self, values) -> tuple:
         if values.ndim != self.grid.dim + 1:
             raise ValueError("vector field values must have one component axis")
-        values = _check_values(self.grid, values, values.shape[-1:], "VectorField")
-        object.__setattr__(self, "values", values)
+        return values.shape[-1:]
 
     @property
     def components(self) -> int:
         return self.values.shape[-1]
 
     @classmethod
-    def zeros(cls, grid, components=None):
-        m = grid.dim if components is None else components
-        return cls(grid, np.zeros(grid.shape + (m,)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.asarray(fn(grid.points()), dtype=float))
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+    def zeros(cls, grid, components):
+        return cls(grid, np.zeros(grid.shape + (components,)))
 
 
-@dataclass(frozen=True)
-class MatrixField:
+class MatrixField(GridField):
     """Per-point square dim x dim matrices on a grid."""
 
-    grid: GridSpec
-    values: np.ndarray
+    _rank = 2
 
-    def __post_init__(self):
-        n = self.grid.dim
-        values = _check_values(self.grid, np.asarray(self.values, dtype=float),
-                               (n, n), "MatrixField")
-        object.__setattr__(self, "values", values)
 
-    @classmethod
-    def constant(cls, grid, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(grid, np.broadcast_to(matrix, grid.shape + matrix.shape).copy())
+class CoefficientTensorField(GridField):
+    """Per-point linear maps from R^N to R^(N x N), indexed [row, col, input]."""
+
+    _rank = 3
 
     @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.asarray(fn(grid.points()), dtype=float))
+    def zeros(cls, grid):
+        return cls(grid, np.zeros(grid.shape + (grid.dim,) * 3))
 
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+    def apply(self, zeta: VectorField) -> MatrixField:
+        """Pointwise matrix G(x) zeta(x)."""
+        if zeta.grid != self.grid:
+            raise DimensionMismatch("zeta must live on the tensor's grid")
+        vals = np.einsum("...ijk,...k->...ij", self.values, zeta.values)
+        return MatrixField(self.grid, vals)
 
 
 def _require_stencil_room(grid):
@@ -291,8 +297,6 @@ def curl_product_discrepancy(x: MatrixField, y: MatrixField,
     return float(np.max(slab_max))
 
 
-def verify_curl_product(x: MatrixField, y: MatrixField,
-                        curl_y_exact: MatrixField | None = None) -> ConvergenceReport:
+def verify_curl_product(x: MatrixField, y: MatrixField) -> ConvergenceReport:
     """Single-grid verification of the curl-of-product identity."""
-    err = curl_product_discrepancy(x, y, curl_y_exact)
-    return ConvergenceReport((x.grid.spacing,), (err,))
+    return ConvergenceReport((x.grid.spacing,), (curl_product_discrepancy(x, y),))

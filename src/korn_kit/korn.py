@@ -29,8 +29,9 @@ import scipy.sparse.linalg as spla
 from . import algebra
 from .analytic import RotationMatrixField, random_trig_matrix
 from .errors import DimensionMismatch, EigensolveFailed, UnknownKind
-from .fields import GridSpec, MatrixField, VectorField, fd_curl_rowwise, fd_grad
-from .transport import CoefficientTensorField, ResidualReport, system_residual
+from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
+                     fd_curl_rowwise, fd_grad)
+from .transport import ResidualReport, system_residual
 
 # Levi-Civita symbol [i, m, k] = smat(e_m)[i, k], kept contiguous because the
 # einsum in build_gp sums in an order that follows its operands' layout
@@ -100,12 +101,11 @@ class KornProblem:
             object.__setattr__(self, "gamma_mask", mask)
 
 
-def seminorm(u: VectorField, P: MatrixField,
-             min_det: float = algebra.DEFAULT_MIN_DET) -> float:
+def seminorm(u: VectorField, P: MatrixField) -> float:
     """Discrete L2 norm of sym(grad(u) P^{-1}), nodal cells of volume h^3."""
     if u.grid != P.grid:
         raise DimensionMismatch("u and P must share a grid")
-    algebra.det_floor(P.values, min_det, "P")
+    algebra.det_floor(P.values, algebra.DEFAULT_MIN_DET, "P")
     p_inv = np.linalg.inv(P.values)
     strain = algebra.sym(fd_grad(u).values @ p_inv)
     h = u.grid.spacing
@@ -389,8 +389,7 @@ class KernelDiagnostics:
     boundary_condition_missing: bool
 
 
-def kernel_vector_diagnostics(problem: KornProblem, u: VectorField,
-                              residual_tol: float = 1e-8) -> KernelDiagnostics:
+def kernel_vector_diagnostics(problem: KornProblem, u: VectorField) -> KernelDiagnostics:
     """Follow a candidate kernel displacement through the transport chain."""
     if u.grid != problem.grid:
         raise DimensionMismatch("u must live on the problem grid")
@@ -399,7 +398,7 @@ def kernel_vector_diagnostics(problem: KornProblem, u: VectorField,
     skewness = float(np.max(np.abs(algebra.sym(a_field))))
     zeta = VectorField(problem.grid, algebra.axl(algebra.skew(a_field)))
     gp = build_gp(problem.P, min_det=problem.min_det)
-    residual = system_residual(zeta, gp, residual_tol)
+    residual = system_residual(zeta, gp)
     if problem.gamma_mask is None:
         gamma_max = None
         missing = True
@@ -425,8 +424,7 @@ class ProbeReport:
 
 
 def norm_property_probe(problem: KornProblem, gram: str = "l2", *,
-                        dense_cap: int = 6000,
-                        residual_tol: float = 1e-8) -> ProbeReport:
+                        dense_cap: int = 6000) -> ProbeReport:
     """Eigen-probe the constrained form; dissect any kernel vector found."""
     form = assemble_form(problem)
     ray = min_rayleigh(form, gram, dense_cap=dense_cap)
@@ -437,7 +435,7 @@ def norm_property_probe(problem: KornProblem, gram: str = "l2", *,
                            "smallest Rayleigh quotient is positive: the seminorm "
                            "is a norm on the constrained space at this resolution",
                            ray.census_complete, ray.eigenpair_residual)
-    diag = kernel_vector_diagnostics(problem, ray.eigenvector, residual_tol)
+    diag = kernel_vector_diagnostics(problem, ray.eigenvector)
     if diag.boundary_condition_missing:
         message = ("kernel displacement found; its axial vector solves the "
                    "transport system but no boundary condition pins it down "

@@ -12,6 +12,9 @@ Voxel domains are covered by overlapping axis-aligned cuboids grown
 greedily from a zero seed region.  Each cuboid is checked by its zero face
 data, zeta_max and the full-system residual, not by propagation: RK4 on
 zero face data of a linear system returns exactly zero.
+
+The coefficient G is a CoefficientTensorField, defined in fields next to
+the vector and matrix fields and importable from here as well.
 """
 
 from __future__ import annotations
@@ -26,10 +29,16 @@ from scipy import ndimage
 
 from .errors import (DisconnectedDomain, DimensionMismatch, FaceMismatch,
                      NonFiniteCoefficient, NotIntegrable, SeedOutsideDomain)
-from .fields import GridSpec, MatrixField, VectorField, fd_grad
+from .fields import CoefficientTensorField, GridSpec, VectorField, fd_grad
 
+# adaptive quadrature of coefficient norms (see integrate_norm)
 QUAD_VALUE_CAP = 1e6
 QUAD_MAX_DEPTH = 40
+QUAD_RTOL = 1e-9
+# interior max-norm of grad(zeta) - G zeta that a residual check passes
+RESIDUAL_TOL = 1e-8
+# covered layers behind a frontier point that a covering cuboid takes along
+_BASE_SLAB = 2
 
 
 def operator_norm(matrix) -> float:
@@ -47,17 +56,14 @@ def _milne(f, lo, hi):
     return (length / 3.0) * (2.0 * f1 - f2 + 2.0 * f3)
 
 
-def integrate_norm(f: Callable[[float], float], a: float, b: float, *,
-                   value_cap: float = QUAD_VALUE_CAP,
-                   max_depth: int = QUAD_MAX_DEPTH,
-                   rtol: float = 1e-9):
+def integrate_norm(f: Callable[[float], float], a: float, b: float):
     """Adaptive dyadic quadrature of a non-negative integrand.
 
     Uses an open fourth-order rule, so the integrand is never evaluated at
     the interval endpoints and may blow up there.  Returns a pair
     (estimate, divergent); divergent is set when the running value exceeds
-    value_cap, or a segment still disagrees at max_depth levels of dyadic
-    refinement while contributing more than a negligible sliver.
+    QUAD_VALUE_CAP, or a segment still disagrees at QUAD_MAX_DEPTH levels of
+    dyadic refinement while contributing more than a negligible sliver.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -76,13 +82,13 @@ def integrate_norm(f: Callable[[float], float], a: float, b: float, *,
         if not math.isfinite(children):
             return total + parent, True
         tol = 1e-12 * abs(children) \
-            + rtol * ((hi - lo) / total_len) * max(1.0, total)
+            + QUAD_RTOL * ((hi - lo) / total_len) * max(1.0, total)
         if abs(children - parent) <= tol:
             total += children
-            if total > value_cap:
+            if total > QUAD_VALUE_CAP:
                 return total, True
             continue
-        if depth >= max_depth:
+        if depth >= QUAD_MAX_DEPTH:
             # a still-disagreeing sliver is absorbed if its whole
             # contribution is below the reporting accuracy; anything larger
             # marks the integral as divergent
@@ -101,8 +107,6 @@ class IntegrabilityReport:
 
     estimate: float
     divergent: bool
-    value_cap: float
-    max_depth: int
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,9 @@ class LineCoefficient:
     def norm_at(self, t: float) -> float:
         return operator_norm(self.sampler(t))
 
-    def integrability_report(self, value_cap: float = QUAD_VALUE_CAP,
-                             max_depth: int = QUAD_MAX_DEPTH) -> IntegrabilityReport:
-        a, b = self.interval
-        estimate, divergent = integrate_norm(self.norm_at, a, b,
-                                             value_cap=value_cap, max_depth=max_depth)
-        return IntegrabilityReport(float(estimate), bool(divergent),
-                                   value_cap, max_depth)
+    def integrability_report(self) -> IntegrabilityReport:
+        estimate, divergent = integrate_norm(self.norm_at, *self.interval)
+        return IntegrabilityReport(float(estimate), bool(divergent))
 
     @classmethod
     def constant(cls, matrix, interval):
@@ -159,14 +159,11 @@ class GronwallBound:
     Calls raise NotIntegrable when the norm integral diverges on [a, x].
     """
 
-    def __init__(self, coefficient: LineCoefficient, initial_norm: float, *,
-                 value_cap: float = QUAD_VALUE_CAP, max_depth: int = QUAD_MAX_DEPTH):
+    def __init__(self, coefficient: LineCoefficient, initial_norm: float):
         if initial_norm < 0:
             raise ValueError("initial_norm must be non-negative")
         self.coefficient = coefficient
         self.initial_norm = float(initial_norm)
-        self.value_cap = value_cap
-        self.max_depth = max_depth
         a, _ = coefficient.interval
         self._xs = [a]
         self._cums = [0.0]
@@ -179,13 +176,11 @@ class GronwallBound:
         x0, c0 = self._xs[i], self._cums[i]
         if x == x0:
             return c0
-        value, divergent = integrate_norm(self.coefficient.norm_at, x0, x,
-                                          value_cap=self.value_cap,
-                                          max_depth=self.max_depth)
-        if divergent or c0 + value > self.value_cap:
+        value, divergent = integrate_norm(self.coefficient.norm_at, x0, x)
+        if divergent or c0 + value > QUAD_VALUE_CAP:
             raise NotIntegrable(
                 f"norm integral diverges on [{a:g}, {x:g}] "
-                f"(estimate {c0 + value:g}, cap {self.value_cap:g})")
+                f"(estimate {c0 + value:g}, cap {QUAD_VALUE_CAP:g})")
         c = c0 + value
         j = bisect.bisect_left(self._xs, x)
         self._xs.insert(j, x)
@@ -202,10 +197,9 @@ class GronwallBound:
             return math.inf
 
 
-def gronwall_bound(coefficient: LineCoefficient, initial_norm: float,
-                   **caps) -> GronwallBound:
+def gronwall_bound(coefficient: LineCoefficient, initial_norm: float) -> GronwallBound:
     """Bound function for solutions of zeta' = G zeta with |zeta(a)| given."""
-    return GronwallBound(coefficient, initial_norm, **caps)
+    return GronwallBound(coefficient, initial_norm)
 
 
 @dataclass(frozen=True)
@@ -271,45 +265,6 @@ def integrate_line(coefficient: LineCoefficient, zeta0, steps: int) -> Trajector
     return Trajectory(times, coarse, estimates)
 
 
-@dataclass(frozen=True)
-class CoefficientTensorField:
-    """Per-point linear maps from R^N to R^(N x N), indexed [row, col, input]."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.dim
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape + (n, n, n):
-            raise ValueError(
-                f"tensor values must have shape {self.grid.shape + (n, n, n)}, "
-                f"got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("CoefficientTensorField contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec):
-        n = grid.dim
-        return cls(grid, np.zeros(grid.shape + (n, n, n)))
-
-    @classmethod
-    def constant(cls, grid: GridSpec, tensor):
-        tensor = np.asarray(tensor, dtype=float)
-        return cls(grid, np.broadcast_to(tensor, grid.shape + tensor.shape).copy())
-
-    def apply(self, zeta: VectorField) -> MatrixField:
-        """Pointwise matrix G(x) zeta(x)."""
-        if zeta.grid != self.grid:
-            raise DimensionMismatch("zeta must live on the tensor's grid")
-        vals = np.einsum("...ijk,...k->...ij", self.values, zeta.values)
-        return MatrixField(self.grid, vals)
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-
 def propagate_cube(coefficient: CoefficientTensorField, face_data: VectorField,
                    steps: int = 200) -> VectorField:
     """Integrate every grid line parallel to the last axis from face data.
@@ -372,7 +327,7 @@ class ResidualReport:
 
 
 def system_residual(zeta: VectorField, coefficient: CoefficientTensorField,
-                    tol: float = 1e-8) -> ResidualReport:
+                    tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Check the full first-order system, not just the propagated direction."""
     if zeta.grid != coefficient.grid:
         raise DimensionMismatch("zeta and coefficient must share a grid")
@@ -382,13 +337,6 @@ def system_residual(zeta: VectorField, coefficient: CoefficientTensorField,
                      for j in range(zeta.grid.dim))
     max_norm = max(per_axis)
     return ResidualReport(max_norm, per_axis, float(tol), max_norm <= tol)
-
-
-def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray:
-    """Boolean point mask of a euclidean ball."""
-    pts = grid.points()
-    center = np.asarray(center, dtype=float)
-    return np.linalg.norm(pts - center, axis=-1) <= radius
 
 
 def cuboid_mask(grid: GridSpec, lo, hi) -> np.ndarray:
@@ -464,8 +412,7 @@ def _orient(values: np.ndarray, spatial_dim: int, axis: int, direction: int,
 
 
 def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTensorField,
-                    zeta: VectorField, *, tol: Optional[float] = None,
-                    residual_tol: float = 1e-8, slab: int = 2) -> CoverageReport:
+                    zeta: VectorField, *, tol: Optional[float] = None) -> CoverageReport:
     """Certify zeta == 0 on a voxel domain by a chain of covering cuboids.
 
     Starting from a seed region where zeta is verified to vanish, grows
@@ -534,7 +481,7 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         bounds = [[c, c + 1] for c in point]
         # base slab: covered layers behind the frontier point
         depth = 0
-        while depth < slab:
+        while depth < _BASE_SLAB:
             nxt = point[axis] - (depth + 1) * direction
             if nxt < 0 or nxt >= grid.shape[axis]:
                 break
@@ -593,8 +540,7 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
             coef_vals = _orient(coefficient.values[sub], n, axis, direction,
                                 is_tensor=True)
             residual = system_residual(VectorField(sub_grid, zeta_vals),
-                                       CoefficientTensorField(sub_grid, coef_vals),
-                                       residual_tol)
+                                       CoefficientTensorField(sub_grid, coef_vals))
 
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))

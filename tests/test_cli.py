@@ -76,6 +76,23 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
 
+    @pytest.mark.parametrize("command, key, face", [
+        (["korn", "eig"], "gamma", {"axis": 3, "side": 0}),
+        (["korn", "probe"], "gamma", {"axis": -4, "side": 0}),
+        (["korn", "eig"], "gamma", {"axis": 0, "side": 2}),
+        (["transport", "flood"], "seed_region", {"axis": 3, "side": 0}),
+        (["transport", "flood"], "seed_region", {"axis": 0, "side": -1}),
+        (["transport", "flood"], "seed_region", {"axis": 0, "thickness": -2}),
+    ], ids=["eig-axis-3", "probe-axis-minus-4", "eig-side-2", "flood-axis-3",
+            "flood-side-minus-1", "flood-thickness-minus-2"])
+    def test_face_out_of_range_is_exit_2(self, tmp_path, capsys, command, key, face):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: face}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
+
 
 class TestReports:
     def test_reports_embed_hash_seed_tolerance(self, tmp_path):

@@ -8,8 +8,9 @@ import pytest
 from korn_kit import algebra, analytic, fields
 from korn_kit.errors import (DimensionMismatch, GridTooLarge, GridTooSmall,
                              UnknownKind)
-from korn_kit.fields import (ConvergenceReport, GridSpec, MatrixField,
-                             VectorField, curl_product_discrepancy,
+from korn_kit.fields import (CoefficientTensorField, ConvergenceReport,
+                             GridSpec, MatrixField, VectorField,
+                             curl_product_discrepancy,
                              fd_curl_rowwise, fd_entry_gradients, fd_grad,
                              refinement_errors, verify_curl_product)
 
@@ -53,18 +54,26 @@ class TestGridSpec:
         assert f.shape == (5, 5) and f.dim == 2
 
 
-class TestFieldValidation:
-    def test_vector_field_shape(self):
-        g = unit_grid(4)
-        with pytest.raises(ValueError):
-            VectorField(g, np.zeros((4, 4, 3)))
+# each field type with its component shape on a 3d grid
+FIELD_TYPES = pytest.mark.parametrize(
+    "cls, components", [(VectorField, (3,)), (CoefficientTensorField, (3, 3, 3))],
+    ids=["VectorField", "CoefficientTensorField"])
 
-    def test_rejects_nan(self):
+
+class TestFieldValidation:
+    @FIELD_TYPES
+    def test_vector_field_shape(self, cls, components):
         g = unit_grid(4)
-        vals = np.zeros(g.shape + (3,))
-        vals[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError):
-            VectorField(g, vals)
+            cls(g, np.zeros((4, 4) + components))
+
+    @FIELD_TYPES
+    def test_rejects_nan(self, cls, components):
+        g = unit_grid(4)
+        vals = np.zeros(g.shape + components)
+        vals[(0,) * vals.ndim] = np.inf
+        with pytest.raises(ValueError):
+            cls(g, vals)
 
     def test_matrix_constant(self):
         g = unit_grid(4)
