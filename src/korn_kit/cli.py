@@ -31,6 +31,9 @@ from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
 
 SCHEMA = "korn-kit/1"
 RESERVED_KEYS = {"schema", "seed", "tol", "out"}
+# experiments that assemble a Korn form and eigensolve it: the only ones that
+# need scipy, which the package imports nowhere at module level
+EIGENSOLVE_EXPERIMENTS = {"korn-eig", "korn-probe"}
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,11 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
         if run_tol <= 0:
             raise ConfigError("tolerance must be positive", key="tol")
     out_dir = Path(out if out is not None else document.get("out", "korn-kit-out"))
+
+    if experiment in EIGENSOLVE_EXPERIMENTS:
+        # the solver stack loads with the config, so a run times its solve alone
+        import scipy.linalg  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
 
     effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
                  "tol": run_tol, **params}

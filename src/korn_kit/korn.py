@@ -13,18 +13,18 @@ is run through the chain that connects the seminorm to a transport system:
 its strain-free gradient is A = grad(u) P^{-1}, skew up to discretization,
 and the axial vector of A solves grad(zeta) = G_P zeta with G_P built from
 L_P^{-1} and curl(P).
+
+scipy is imported by the functions that assemble a form or eigensolve it,
+not by the module, so importing korn (and the package) needs only numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import algebra
 from .analytic import RotationMatrixField, random_trig_matrix
@@ -32,6 +32,10 @@ from .errors import DimensionMismatch, EigensolveFailed, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      fd_curl_rowwise, fd_grad)
 from .transport import ResidualReport, system_residual
+
+if TYPE_CHECKING:  # annotations only; the solvers import scipy when they run
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 # Levi-Civita symbol [i, m, k] = smat(e_m)[i, k], kept contiguous because the
 # einsum in build_gp sums in an order that follows its operands' layout
@@ -60,7 +64,11 @@ def boundary_mask(grid: GridSpec) -> np.ndarray:
 
 
 def face_mask(grid: GridSpec, axis: int = 0, side: int = 0) -> np.ndarray:
-    """Boolean mask of one full boundary face."""
+    """Boolean mask of one full boundary face: side 0 is index 0, side 1 the last."""
+    if not 0 <= axis < grid.dim or side not in (0, 1):
+        raise DimensionMismatch(f"a face of a {grid.dim}-d grid needs axis in "
+                                f"0..{grid.dim - 1} and side 0 or 1, got "
+                                f"axis {axis}, side {side}")
     mask = np.zeros(grid.shape, dtype=bool)
     idx = [slice(None)] * grid.dim
     idx[axis] = 0 if side == 0 else -1
@@ -113,6 +121,8 @@ def seminorm(u: VectorField, P: MatrixField) -> float:
 
 
 def _d1_sparse(n: int, h: float) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     d = sp.lil_matrix((n, n))
     for i in range(1, n - 1):
         d[i, i - 1] = -0.5 / h
@@ -124,6 +134,8 @@ def _d1_sparse(n: int, h: float) -> sp.csr_matrix:
 
 def _gradient_operators(grid: GridSpec):
     """Sparse nodal derivative operators D_k on scalar point fields."""
+    import scipy.sparse as sp
+
     h = grid.spacing
     eyes = [sp.identity(n, format="csr") for n in grid.shape]
     ds = [_d1_sparse(n, h) for n in grid.shape]
@@ -174,6 +186,8 @@ def assemble_form(problem: KornProblem) -> DiscreteForm:
     points are eliminated.  The form is B^T B scaled by the cell volume, so
     it is symmetric non-negative by construction.
     """
+    import scipy.sparse as sp
+
     grid = problem.grid
     npts = grid.num_points
     h = grid.spacing
@@ -285,6 +299,8 @@ def _nd_order(form: DiscreteForm) -> np.ndarray:
 def _shift_invert(a: sp.spmatrix, m: sp.spmatrix, sigma: float,
                   order: np.ndarray) -> spla.LinearOperator:
     """(a - sigma m)^{-1}, applied through one factor in the given DOF order."""
+    import scipy.sparse.linalg as spla
+
     shifted = (a - sigma * m).tocsr()[order][:, order].tocsc()
     lu = spla.splu(shifted, permc_spec="NATURAL", options={"SymmetricMode": True})
 
@@ -299,6 +315,8 @@ def _shift_invert(a: sp.spmatrix, m: sp.spmatrix, sigma: float,
 def _pair_residual(a: sp.spmatrix, m: sp.spmatrix, w: np.ndarray,
                    v: np.ndarray) -> float:
     """max_i ||a v_i - w_i m v_i|| / (||a||_1 ||v_i||); fails above the bound."""
+    import scipy.sparse.linalg as spla
+
     norms = np.linalg.norm(a @ v - (m @ v) * w, axis=0) / np.linalg.norm(v, axis=0)
     residual = float(np.max(norms)) / float(spla.norm(a, 1))
     if not residual <= _PAIR_RESIDUAL_BOUND:
@@ -321,6 +339,9 @@ def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = 6000,
     ones.  Every pair is checked by its relative residual, and a solve whose
     residual exceeds 1e-8 raises EigensolveFailed.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     n = form.n_dofs
     a = form.operator
     m = form.gram(gram)

@@ -96,6 +96,11 @@ class TestKornProblem:
         assert mask.sum() == 4 ** 3 - 2 ** 3
         assert face_mask(g, 0, 0).sum() == 16
 
+    @pytest.mark.parametrize("axis, side", [(3, 0), (-1, 0), (0, 2), (0, -1)])
+    def test_face_mask_rejects_axis_or_side_out_of_range(self, axis, side):
+        with pytest.raises(DimensionMismatch, match="axis in 0..2 and side 0 or 1"):
+            face_mask(unit_cell_grid(), axis, side)
+
 
 class TestAssembleForm:
     def test_zero_displacement(self):

@@ -1,9 +1,11 @@
 """Line integration, Gronwall envelopes, cube propagation, flood covering."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from korn_kit.errors import (DisconnectedDomain, DimensionMismatch, FaceMismatch,
                              NonFiniteCoefficient, NotIntegrable,
@@ -13,6 +15,7 @@ from korn_kit.transport import (CoefficientTensorField, LineCoefficient,
                                 counterexample_demo, flood_propagate,
                                 gronwall_bound, integrate_line, integrate_norm,
                                 propagate_cube, system_residual)
+from korn_kit.transport import _count_components
 
 
 def bounded_coefficient(seed, dim=3, interval=(0.0, 1.0)):
@@ -298,6 +301,14 @@ class TestFloodPropagate:
         with pytest.raises(DisconnectedDomain):
             flood_propagate(domain, self.seed_slab(), self.coef, self.zero)
 
+    def test_disconnected_domain_message_gives_the_count(self):
+        domain = np.zeros(self.grid.shape, dtype=bool)
+        domain[:3] = True
+        domain[5:7] = True
+        domain[9:] = True
+        with pytest.raises(DisconnectedDomain, match="domain mask has 3 components"):
+            flood_propagate(domain, self.seed_slab(), self.coef, self.zero)
+
     def test_nonzero_seed_data_fails_early(self):
         domain = np.ones(self.grid.shape, dtype=bool)
         vals = np.full(self.grid.shape + (3,), 0.5)
@@ -387,3 +398,47 @@ class TestCoefficientTensorField:
         grid = GridSpec((4, 4, 4), (0.0,) * 3, 0.25)
         with pytest.raises(ValueError):
             CoefficientTensorField(grid, np.zeros(grid.shape + (3, 3)))
+
+
+def serpentine_mask(n):
+    """One voxel-wide path that winds through every other row and plane of n^3."""
+    plane = np.zeros((n, n), dtype=bool)
+    plane[::2] = True
+    for j in range(1, n, 2):  # row j - 1 turns into row j + 1 at alternating ends
+        plane[j, n - 1 if j % 4 == 1 else 0] = True
+    mask = np.zeros((n, n, n), dtype=bool)
+    mask[0::4] = plane
+    mask[2::4] = plane[::-1, ::-1]  # starts where the plane before it ends
+    end = np.argwhere(plane)[-1]
+    mask[1::4, end[0], end[1]] = True
+    mask[3::4, 0, 0] = True
+    return mask
+
+
+class TestCountComponents:
+    """The flood's connectivity check against ndimage.label's face connectivity."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_ndimage_on_seeded_random_masks(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(80):
+            shape = tuple(int(n) for n in rng.integers(1, 10, size=dim))
+            mask = rng.random(shape) < rng.uniform(0.1, 0.9)
+            assert _count_components(mask) == ndimage.label(mask)[1]
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (5, 6), (1, 1, 1), (4, 5, 6)])
+    def test_empty_and_single_voxel(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        assert _count_components(mask) == 0 == ndimage.label(mask)[1]
+        mask[tuple(n // 2 for n in shape)] = True
+        assert _count_components(mask) == 1 == ndimage.label(mask)[1]
+
+    @pytest.mark.parametrize("name", ["serpentine", "random-60"])
+    def test_65_cubed_counts_correctly_within_a_second(self, name):
+        mask = (serpentine_mask(65) if name == "serpentine"
+                else np.random.default_rng(65).random((65, 65, 65)) < 0.6)
+        start = time.perf_counter()
+        count = _count_components(mask)
+        elapsed = time.perf_counter() - start
+        assert count == ndimage.label(mask)[1]
+        assert elapsed < 1.0
