@@ -70,6 +70,22 @@ class AnalyticMatrixField:
 
 
 @dataclass(frozen=True)
+class LazyMatrixSample:
+    """A matrix family on a grid, evaluated a range of axis-0 planes at a time.
+
+    It stands in for the family's MatrixField sample where the values are
+    consumed slab by slab, as fields.curl_product_discrepancy does, so no
+    whole-grid array is made.
+    """
+
+    family: AnalyticMatrixField
+    grid: GridSpec
+
+    def sample_planes(self, start: int, stop: int) -> np.ndarray:
+        return self.family.value(self.grid.plane_points(start, stop))
+
+
+@dataclass(frozen=True)
 class PolynomialVectorField(AnalyticVectorField):
     """Vector field with polynomial components: coeffs (3, T), exponents (T, 3)."""
 
@@ -109,8 +125,12 @@ class TrigMatrixField(AnalyticMatrixField):
     phase: np.ndarray      # (3, 3)
 
     def value(self, points):
-        arg = np.einsum("rcj,...j->...rc", self.wave, points) + self.phase
-        return self.amplitude * np.sin(arg)
+        # one output-sized buffer: the phase, sine and amplitude act in place
+        out = np.einsum("rcj,...j->...rc", self.wave, points)
+        out += self.phase
+        np.sin(out, out=out)
+        out *= self.amplitude
+        return out
 
     def entry_jacobian(self, points):
         arg = np.einsum("rcj,...j->...rc", self.wave, points) + self.phase
@@ -127,8 +147,11 @@ class TrigVectorField(AnalyticVectorField):
     phase: np.ndarray      # (3,)
 
     def value(self, points):
-        arg = np.einsum("cj,...j->...c", self.wave, points) + self.phase
-        return self.amplitude * np.sin(arg)
+        out = np.einsum("cj,...j->...c", self.wave, points)
+        out += self.phase
+        np.sin(out, out=out)
+        out *= self.amplitude
+        return out
 
     def jacobian(self, points):
         arg = np.einsum("cj,...j->...c", self.wave, points) + self.phase

@@ -110,6 +110,9 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
 
 def _grid_from_params(params) -> GridSpec:
     shape = tuple(int(n) for n in params["shape"])
+    if not shape or min(shape) < 1:
+        raise ConfigError(f"grid shape entries must be positive, got {list(shape)}",
+                          key="shape")
     spacing = params.get("spacing")
     if spacing is None:
         spacing = 1.0 / shape[-1]
@@ -242,6 +245,9 @@ def _run_verify_curl(cfg: RunConfig, rng):
     case = params["case"]
     shape = int(params["shape"])
     levels = int(params["levels"])
+    if shape < 2:
+        raise ConfigError(f"shape must be at least 2 points per axis, got {shape}",
+                          key="shape")
     base = GridSpec((shape,) * 3, (0.0,) * 3, 1.0 / (shape - 1))
     seed = cfg.seed
 
@@ -258,7 +264,8 @@ def _run_verify_curl(cfg: RunConfig, rng):
         raise ConfigError(f"unknown case {case!r}", key="case")
 
     def error_at(grid):
-        return curl_product_discrepancy(x_case.sample(grid), y_case.sample(grid))
+        return curl_product_discrepancy(analytic.LazyMatrixSample(x_case, grid),
+                                        analytic.LazyMatrixSample(y_case, grid))
 
     report = refinement_errors(error_at, base, levels=levels)
     rows = [[h, e] for h, e in zip(report.spacings, report.max_errors)]

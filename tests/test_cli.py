@@ -76,6 +76,18 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
 
+    @pytest.mark.parametrize("command, params", [
+        (["verify-curl"], {"shape": 1}),
+        (["korn", "eig"], {"shape": [5, 5, 0], "spacing": None}),
+    ], ids=["verify-curl-shape-1", "eig-zero-last-axis"])
+    def test_degenerate_shape_is_exit_2(self, tmp_path, capsys, command, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "shape")
+
     @pytest.mark.parametrize("command, key, face", [
         (["korn", "eig"], "gamma", {"axis": 3, "side": 0}),
         (["korn", "probe"], "gamma", {"axis": -4, "side": 0}),

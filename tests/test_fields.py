@@ -8,7 +8,7 @@ import pytest
 from korn_kit import algebra, analytic, fields
 from korn_kit.errors import (DimensionMismatch, GridTooLarge, GridTooSmall,
                              UnknownKind)
-from korn_kit.fields import (CoefficientTensorField, ConvergenceReport,
+from korn_kit.fields import (POINT_CAP, CoefficientTensorField, ConvergenceReport,
                              GridSpec, MatrixField, VectorField,
                              curl_product_discrepancy,
                              fd_curl_rowwise, fd_entry_gradients, fd_grad,
@@ -26,6 +26,14 @@ class TestGridSpec:
         assert g.num_points == 125
         axes = g.axes()
         assert axes[0][0] == 0.0 and axes[0][-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("grid", [GridSpec((4, 7, 5), (0.3, -1.2, 2.0), 0.037),
+                                      GridSpec((6, 3), (-0.5, 0.25), 0.3)],
+                             ids=["3d", "2d"])
+    def test_points_match_meshgrid(self, grid):
+        mesh = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+        assert np.array_equal(grid.points(), mesh)
+        assert np.array_equal(grid.plane_points(1, 3), mesh[1:3])
 
     def test_refine_preserves_extent(self):
         g = unit_grid(9)
@@ -192,6 +200,17 @@ class TestEntryGradients:
         assert np.max(np.abs(grads - exact)) <= 1e-12
 
 
+def _single_pass_gap(x, y, curl_y=None):
+    """The discrepancy from whole-grid differences and one pointwise call."""
+    inner = x.grid.interior()
+    lhs = fd_curl_rowwise(MatrixField(x.grid, x.values @ y.values))
+    curl_y = fd_curl_rowwise(y) if curl_y is None else curl_y
+    rhs = algebra.curl_product_pointwise(
+        fd_entry_gradients(x)[inner], x.values[inner], y.values[inner],
+        curl_y.values[inner])
+    return float(np.max(np.abs(lhs.values[inner] - rhs)))
+
+
 class TestVerifyCurlProduct:
     def test_constant_skew_times_identity(self):
         g = unit_grid(5)
@@ -238,6 +257,39 @@ class TestVerifyCurlProduct:
         single = float(np.max(np.abs(lhs.values[inner] - rhs)))
         assert curl_product_discrepancy(x, y) == single
 
+    def test_lazy_families_match_fields_and_single_pass(self):
+        g = unit_grid(33)
+        x_case = analytic.random_trig_matrix(11, wavenumber=2.0)
+        y_case = analytic.random_trig_matrix(12, wavenumber=2.0)
+        x, y = x_case.sample(g), y_case.sample(g)
+        lazy = curl_product_discrepancy(analytic.LazyMatrixSample(x_case, g),
+                                        analytic.LazyMatrixSample(y_case, g))
+        assert lazy == curl_product_discrepancy(x, y) == _single_pass_gap(x, y)
+
+    def test_exact_curl_sliced_per_slab(self):
+        g = GridSpec((40, 33, 29), (0.1, -0.2, 0.3), 0.03)
+        assert fields._SLAB_POINTS // (33 * 29) < 38
+        x = analytic.random_polynomial_matrix(7, per_axis_degree=2).sample(g)
+        y_case = analytic.random_trig_matrix(8, wavenumber=2.0)
+        y, curl_y = y_case.sample(g), y_case.sample_curl(g)
+        assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
+
+    def test_peak_memory_bounded_by_slab(self):
+        x_case = analytic.random_trig_matrix(13, wavenumber=2.0)
+        y_case = analytic.random_trig_matrix(14, wavenumber=2.0)
+        peaks = []
+        for n in (33, 65):
+            g = unit_grid(n)
+            tracemalloc.start()
+            try:
+                curl_product_discrepancy(analytic.LazyMatrixSample(x_case, g),
+                                         analytic.LazyMatrixSample(y_case, g))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 7.6x the points; a whole-grid pass grows its peak about 5x
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_peak_memory_per_point(self):
         # per-point 9x9 operators took about 3.2 KB per grid point
         g = unit_grid(33)
@@ -272,6 +324,14 @@ class TestConvergenceReport:
         rep = refinement_errors(lambda g: g.spacing ** 2, unit_grid(5), levels=3)
         assert rep.min_order == pytest.approx(2.0)
 
+    def test_oversized_last_level_refused_before_any_work(self):
+        calls = []
+        base = unit_grid(161)  # refines to 321^3, above the cap
+        assert base.num_points <= POINT_CAP < 321 ** 3
+        with pytest.raises(GridTooLarge):
+            refinement_errors(calls.append, base, levels=2)
+        assert calls == []
+
 
 class TestMakeAnalyticField:
     def test_polynomial_degree_zero_constant(self):
@@ -303,6 +363,27 @@ class TestMakeAnalyticField:
                       [-axis[1], axis[0], 0]])
         rodrigues = np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
         assert case.value(point) == pytest.approx(rodrigues, abs=1e-14)
+
+    @pytest.mark.parametrize("lead", [(3, 3), (3,)], ids=["matrix", "vector"])
+    def test_trig_value_matches_formula(self, lead):
+        maker = analytic.random_trig_matrix if lead == (3, 3) else analytic.random_trig_vector
+        case = maker(9, wavenumber=2.0)
+        points = GridSpec((5, 4, 6), (0.2, -0.1, 0.4), 0.13).points()
+        sub = "rcj,...j->...rc" if lead == (3, 3) else "cj,...j->...c"
+        arg = np.einsum(sub, case.wave, points) + case.phase
+        assert np.array_equal(case.value(points), case.amplitude * np.sin(arg))
+
+    def test_trig_sample_peak_memory(self):
+        g = unit_grid(65)
+        case = analytic.random_trig_matrix(3)
+        tracemalloc.start()
+        try:
+            values = case.sample(g).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus the points; each whole-size temporary adds 1x
+        assert peak <= 1.5 * values.nbytes
 
     def test_trig_zero_amplitude(self):
         case = analytic.TrigMatrixField(np.zeros((3, 3)),
