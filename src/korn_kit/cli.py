@@ -248,6 +248,8 @@ def _run_verify_curl(cfg: RunConfig, rng):
     if shape < 2:
         raise ConfigError(f"shape must be at least 2 points per axis, got {shape}",
                           key="shape")
+    if levels < 1:
+        raise ConfigError(f"levels must be at least 1, got {levels}", key="levels")
     base = GridSpec((shape,) * 3, (0.0,) * 3, 1.0 / (shape - 1))
     seed = cfg.seed
 

@@ -14,7 +14,7 @@ class GridTooSmall(KornKitError):
 
 
 class GridTooLarge(KornKitError, ValueError):
-    """A grid has more points than POINT_CAP; refused before any array exists."""
+    """A grid is too large for the memory its experiment needs; refused up front."""
 
 
 class DimensionMismatch(KornKitError):

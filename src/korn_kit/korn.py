@@ -28,7 +28,7 @@ import numpy as np
 
 from . import algebra
 from .analytic import RotationMatrixField, random_trig_matrix
-from .errors import DimensionMismatch, EigensolveFailed, UnknownKind
+from .errors import DimensionMismatch, EigensolveFailed, GridTooLarge, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      fd_curl_rowwise, fd_grad)
 from .transport import ResidualReport, system_residual
@@ -41,12 +41,8 @@ if TYPE_CHECKING:  # annotations only; the solvers import scipy when they run
 # einsum in build_gp sums in an order that follows its operands' layout
 _EPS3 = np.ascontiguousarray(np.moveaxis(algebra.smat(np.eye(3)), 0, 1))
 
-# Nested-dissection ordering for the sparse factorisation (George 1973): the
-# B^T B stencil reaches two index layers along an axis, so a plane separator
-# that thick leaves its two sides uncoupled; a block whose longest side has at
-# most _ND_LEAF points is not cut
-_ND_SEPARATOR = 2
-_ND_LEAF = 3
+# bytes above which the band of the shift-invert factor is refused up front
+_BAND_BYTES_CAP = 2 ** 32
 # relative eigenpair residual above which a solve counts as failed
 _PAIR_RESIDUAL_BOUND = 1e-8
 
@@ -263,50 +259,50 @@ def _identity_scale(m: sp.spmatrix) -> Optional[float]:
     return None
 
 
-def _nd_order(form: DiscreteForm) -> np.ndarray:
-    """Nested-dissection permutation of the free DOFs of a form.
+def _band_order(form: DiscreteForm) -> np.ndarray:
+    """Point-major permutation of the free DOFs that narrows the band.
 
-    Each block of grid points is cut across its longest axis by a plane
-    separator _ND_SEPARATOR layers thick and ordered left block, right
-    block, separator, recursively; points stay point-major with their three
-    components, and clamped DOFs are dropped.
+    Grid axes run longest slowest (ties keep their order, so a cube keeps
+    the natural order) and each point keeps its three components together;
+    clamped DOFs are dropped.
     """
     shape = form.grid.shape
-    blocks = []
-
-    def dissect(lo, hi):
-        sides = [b - a for a, b in zip(lo, hi)]
-        ax = int(np.argmax(sides))
-        if sides[ax] <= _ND_LEAF:
-            blocks.append(np.ravel_multi_index(
-                np.ix_(*map(np.arange, lo, hi)), shape).reshape(-1))
-            return
-        cut = lo[ax] + (sides[ax] - _ND_SEPARATOR) // 2
-
-        def at(bound, value):
-            return bound[:ax] + (value,) + bound[ax + 1:]
-
-        dissect(lo, at(hi, cut))
-        dissect(at(lo, cut + _ND_SEPARATOR), hi)
-        dissect(at(lo, cut), at(hi, cut + _ND_SEPARATOR))
-
-    dissect((0,) * len(shape), shape)
-    dofs = (3 * np.concatenate(blocks)[:, None] + np.arange(3)).reshape(-1)
+    axes = sorted(range(len(shape)), key=lambda ax: -shape[ax])
+    points = np.arange(form.grid.num_points).reshape(shape).transpose(axes)
+    dofs = (3 * points.reshape(-1)[:, None] + np.arange(3)).reshape(-1)
     free_index = np.cumsum(form.free) - 1
     return free_index[dofs[form.free[dofs]]]
 
 
 def _shift_invert(a: sp.spmatrix, m: sp.spmatrix, sigma: float,
                   order: np.ndarray) -> spla.LinearOperator:
-    """(a - sigma m)^{-1}, applied through one factor in the given DOF order."""
+    """(a - sigma m)^{-1} through one banded Cholesky factor in the given DOF order.
+
+    a - sigma m is symmetric positive definite for sigma < 0; a band above
+    _BAND_BYTES_CAP raises GridTooLarge before it is allocated.
+    """
+    import scipy.linalg
     import scipy.sparse.linalg as spla
 
-    shifted = (a - sigma * m).tocsr()[order][:, order].tocsc()
-    lu = spla.splu(shifted, permc_spec="NATURAL", options={"SymmetricMode": True})
+    shifted = (a - sigma * m).tocoo()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rows, cols = rank[shifted.row], rank[shifted.col]
+    keep = rows >= cols
+    rows, cols = rows[keep], cols[keep]
+    width = int(np.max(rows - cols))
+    if (width + 1) * order.size * 8 > _BAND_BYTES_CAP:
+        raise GridTooLarge(f"shift-invert band of {width + 1} x {order.size} needs "
+                           f"more than {_BAND_BYTES_CAP} bytes")
+    band = np.zeros((width + 1, order.size), order="F")
+    band[rows - cols, cols] = shifted.data[keep]
+    factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True,
+                                          check_finite=False)
 
     def solve(b):
         x = np.empty_like(b)
-        x[order] = lu.solve(b[order])
+        x[order] = scipy.linalg.cho_solve_banded((factor, True), b[order],
+                                                 check_finite=False)
         return x
 
     return spla.LinearOperator(a.shape, matvec=solve, dtype=float)
@@ -333,7 +329,9 @@ def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = 6000,
     multiple c I of the identity (the L2 Gram) gives the standard problem
     on the form alone, with eigenvalues divided by c.  Above the cap,
     shift-and-invert Lanczos finds min(n_eigs, DOFs - 1) pairs from one
-    sparse factor of the shifted form in nested-dissection order.
+    banded Cholesky factor of the shifted form, its DOFs ordered point-major
+    with the grid's longest axis slowest; a band too large for memory
+    raises GridTooLarge before it is allocated.
     Eigenvalues below 1e-10 * trace(form)/DOFs count as kernel; the census
     is complete only when it cannot miss kernel pairs beyond the computed
     ones.  Every pair is checked by its relative residual, and a solve whose
@@ -361,10 +359,12 @@ def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = 6000,
             sigma = -1e-6 * max(float(a.diagonal().max()), 1.0)
             # a fixed start vector keeps ARPACK, and so the report, reproducible
             w, v = spla.eigsh(a, k=k, M=m, sigma=sigma, which="LM", v0=np.ones(n),
-                              OPinv=_shift_invert(a, m, sigma, _nd_order(form)))
+                              OPinv=_shift_invert(a, m, sigma, _band_order(form)))
             order = np.argsort(w)
             w, v = w[order], v[:, order]
-    except (RuntimeError, ValueError) as exc:  # arpack / superlu / lapack failures
+    except GridTooLarge:  # a ValueError, but a refusal up front, not a failed solve
+        raise
+    except (RuntimeError, ValueError) as exc:  # arpack / lapack failures
         raise EigensolveFailed(str(exc)) from exc
     residual = _pair_residual(a, m, w, v)
     kernel_dim = int(np.count_nonzero(w < threshold))

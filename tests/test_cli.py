@@ -157,6 +157,14 @@ class TestVerifyCurl:
         assert run_cli(["verify-curl", "--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["key"] == "levels"
 
+    def test_no_levels_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": 0}))
+        code = run_cli(["verify-curl", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "levels")
+
 
 class TestTransportCommands:
     def test_propagate_exponential(self, tmp_path):

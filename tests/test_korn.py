@@ -1,17 +1,19 @@
 """Seminorm, discrete kernel, coefficient tensor, rigid recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from korn_kit import algebra, analytic
+from korn_kit import algebra, analytic, korn
 from korn_kit.errors import (DeterminantTooSmall, DimensionMismatch,
-                             EigensolveFailed, UnknownKind)
+                             EigensolveFailed, GridTooLarge, UnknownKind)
 from korn_kit.fields import (GridSpec, MatrixField, VectorField,
                              fd_curl_rowwise, fd_grad, refinement_errors)
 from korn_kit.korn import (KornProblem, assemble_form, boundary_mask, build_gp,
@@ -19,7 +21,7 @@ from korn_kit.korn import (KornProblem, assemble_form, boundary_mask, build_gp,
                            min_rayleigh, norm_property_probe, rigid_recover,
                            seminorm, sweep_roughness, sym_conjugation_residual,
                            sym_conjugation_sides)
-from korn_kit.korn import _nd_order, _pair_residual
+from korn_kit.korn import _band_order, _pair_residual
 
 
 def unit_cell_grid(n=5):
@@ -199,7 +201,7 @@ class TestMinRayleigh:
 
 
 class TestEigensolvePaths:
-    """The subset dense solve and the nested-dissection sparse solve."""
+    """The subset dense solve and the banded sparse solve."""
 
     def forms(self):
         g = unit_cell_grid()
@@ -238,8 +240,59 @@ class TestEigensolvePaths:
         g = GridSpec(shape, (0.0,) * 3, 0.25)
         gamma = face_mask(g, 2, 1) if clamped else None
         form = assemble_form(KornProblem(g, identity_p(g), gamma))
-        order = _nd_order(form)
+        order = _band_order(form)
         assert np.array_equal(np.sort(order), np.arange(form.n_dofs))
+
+    @pytest.mark.parametrize("shape", [(5, 7, 9), (5, 5, 17)])
+    def test_band_sparse_matches_dense_on_boxes(self, shape):
+        g = GridSpec(shape, (0.0,) * 3, 0.25)
+        p = builtin_p_field("graded-roughness", g, seed=1, frequency=2.0)
+        form = assemble_form(KornProblem(g, p, face_mask(g, 0, 0)))
+        for gram in ("l2", "h1"):
+            dense = min_rayleigh(form, gram)
+            sparse = min_rayleigh(form, gram, dense_cap=0)
+            assert dense.dense and not sparse.dense
+            assert np.allclose(sparse.eigenvalues, dense.eigenvalues,
+                               rtol=1e-8, atol=0.0), gram
+
+    @staticmethod
+    def bandwidth(form, order):
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        coo = form.operator.tocoo()
+        return int(np.max(np.abs(rank[coo.row] - rank[coo.col])))
+
+    def test_band_order_narrows_an_elongated_box(self):
+        g = GridSpec((5, 5, 17), (0.0,) * 3, 0.25)
+        form = assemble_form(KornProblem(g, identity_p(g), face_mask(g, 0, 0)))
+        natural = self.bandwidth(form, np.arange(form.n_dofs))
+        assert 3 * self.bandwidth(form, _band_order(form)) < natural
+
+    def test_oversized_band_is_refused_before_the_factor(self, monkeypatch):
+        g = unit_cell_grid(7)
+        form = assemble_form(KornProblem(g, identity_p(g), face_mask(g, 0, 0)))
+        needed = (self.bandwidth(form, _band_order(form)) + 1) * form.n_dofs * 8
+        monkeypatch.setattr(korn, "_BAND_BYTES_CAP", needed)
+        assert not min_rayleigh(form, "l2", dense_cap=0).dense
+        monkeypatch.setattr(korn, "_BAND_BYTES_CAP", needed - 1)
+        with pytest.raises(GridTooLarge):
+            min_rayleigh(form, "l2", dense_cap=0)
+
+    def test_indefinite_shifted_operator_is_eigensolve_failure(self):
+        form = self.forms()["clamped"]
+        negated = dataclasses.replace(form, operator=-form.operator)
+        with pytest.raises(EigensolveFailed) as excinfo:
+            min_rayleigh(negated, "l2", dense_cap=0)
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    def test_sparse_path_does_not_call_splu(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        form = self.forms()["clamped"]
+        for gram in ("l2", "h1"):
+            assert not min_rayleigh(form, gram, dense_cap=0).dense
 
     def test_census_incomplete_when_kernel_fills_the_batch(self):
         g = unit_cell_grid()
@@ -267,7 +320,7 @@ class TestEigensolvePaths:
         with pytest.raises(EigensolveFailed):
             _pair_residual(a, m, w[::-1], v)  # eigenvalues out of order
         with pytest.raises(EigensolveFailed):
-            _pair_residual(a, m, w, v[_nd_order(form)])  # rows left permuted
+            _pair_residual(a, m, w, v[::-1])  # rows left permuted
         with pytest.raises(EigensolveFailed):
             _pair_residual(a, m, w, v * np.nan)
 
