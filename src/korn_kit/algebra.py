@@ -31,13 +31,14 @@ from .errors import DeterminantTooSmall
 DEFAULT_MIN_DET = 1e-12
 
 # vec indices of the diagonal, strictly-upper and strictly-lower entries,
-# with signs, as consumed by the three extraction maps.
+# with signs, as consumed by the three extraction maps; each sign is a row
+# so that it scales a whole gathered gradient row.
 _DVEC_IDX = (0, 4, 8)
-_DVEC_SIGN = (1.0, 1.0, 1.0)
+_DVEC_SIGN = np.array([[1.0], [1.0], [1.0]])
 _SKEWVEC_IDX = (5, 2, 1)
-_SKEWVEC_SIGN = (-1.0, 1.0, -1.0)
+_SKEWVEC_SIGN = np.array([[-1.0], [1.0], [-1.0]])
 _SYMVEC_IDX = (7, 6, 3)
-_SYMVEC_SIGN = (1.0, -1.0, 1.0)
+_SYMVEC_SIGN = np.array([[1.0], [-1.0], [1.0]])
 
 
 def _as_float_array(a, shape_suffix, name):
@@ -226,7 +227,9 @@ def curl_row(d) -> np.ndarray:
 
 
 def _hat_select(grad27, idx, sign):
-    rows = np.stack([s * grad27[..., k, :] for k, s in zip(idx, sign)], axis=-2)
+    # one gather of the three gradient rows; scaling by +-1 is exact
+    rows = np.take(grad27, idx, axis=-2)
+    rows *= sign
     return rows.reshape(rows.shape[:-2] + (9,))
 
 

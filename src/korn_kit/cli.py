@@ -17,6 +17,7 @@ error (with a machine-readable error JSON on stdout).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -97,15 +98,28 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
             raise ConfigError("tolerance must be positive", key="tol")
     out_dir = Path(out if out is not None else document.get("out", "korn-kit-out"))
 
+    effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
+                 "tol": run_tol, **params}
+    # every *_file key names an input; it enters the hash by its bytes, so the
+    # same inputs at two paths hash alike and a file rewritten in place does not
+    for key, path in params.items():
+        if key.endswith("_file") and path:
+            effective[key] = {"sha256": _file_sha256(key, path)}
+
     if experiment in EIGENSOLVE_EXPERIMENTS:
         # the solver stack loads with the config, so a run times its solve alone
         import scipy.linalg  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
 
-    effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
-                 "tol": run_tol, **params}
     return RunConfig(experiment, run_seed, run_tol, out_dir, params,
                      reporting.config_hash(reporting.to_jsonable(effective)))
+
+
+def _file_sha256(key, path) -> str:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except (OSError, TypeError) as exc:
+        raise ConfigError(f"cannot read {key}: {exc}", key=key)
 
 
 def _grid_from_params(params) -> GridSpec:
@@ -260,8 +274,14 @@ def _run_verify_curl(cfg: RunConfig, rng):
         if levels < 2:
             raise ConfigError("trigonometric case needs levels >= 2 to measure "
                               "a convergence order", key="levels")
-        x_case = analytic.random_trig_matrix(seed, wavenumber=float(params["wavenumber"]))
-        y_case = analytic.random_trig_matrix(seed + 1, wavenumber=float(params["wavenumber"]))
+        wavenumber = float(params["wavenumber"])
+        if not (np.isfinite(wavenumber) and wavenumber > 0):
+            # a zero wavenumber samples constant fields: every error is 0.0
+            # and the measured order is inf, which would pass vacuously
+            raise ConfigError(f"wavenumber must be positive and finite, got {wavenumber}",
+                              key="wavenumber")
+        x_case = analytic.random_trig_matrix(seed, wavenumber=wavenumber)
+        y_case = analytic.random_trig_matrix(seed + 1, wavenumber=wavenumber)
     else:
         raise ConfigError(f"unknown case {case!r}", key="case")
 

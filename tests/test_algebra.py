@@ -112,6 +112,27 @@ class TestExtractions:
         assert np.array_equal(algebra.dvec(m), np.zeros(3))
 
 
+def _stacked_rows(grad27, idx, sign):
+    # the per-row stack that the single-gather hat maps replaced
+    rows = np.stack([s * grad27[..., k, :] for k, s in zip(idx, sign)], axis=-2)
+    return rows.reshape(rows.shape[:-2] + (9,))
+
+
+class TestHatMaps:
+    @pytest.mark.parametrize("shape", [(4, 5, 9, 3), (9, 3)], ids=["batch", "single"])
+    def test_gather_equals_per_row_stack(self, shape):
+        grad27 = np.random.default_rng(12).uniform(-1, 1, shape)
+        grad27[(0,) * (len(shape) - 1)] = 0.0  # signed zeros keep their sign too
+        for hat, idx, sign in ((algebra.hat_dvec, (0, 4, 8), (1.0, 1.0, 1.0)),
+                               (algebra.hat_skewvec, (5, 2, 1), (-1.0, 1.0, -1.0)),
+                               (algebra.hat_symvec, (7, 6, 3), (1.0, -1.0, 1.0))):
+            got = hat(grad27)
+            expected = _stacked_rows(grad27, idx, sign)
+            assert got.shape == shape[:-2] + (9,)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class TestLOperators:
     def test_zero_matrix(self):
         ops = algebra.build_l_operators(np.zeros((3, 3)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from korn_kit import cli, fieldio, korn
-from korn_kit.fields import GridSpec, VectorField
+from korn_kit.fields import GridSpec, MatrixField, VectorField
 from korn_kit.transport import CoefficientTensorField
 
 
@@ -124,6 +124,36 @@ class TestReports:
         assert (out1 / "korn_eig_eigenvalues.csv").read_bytes() == \
             (out2 / "korn_eig_eigenvalues.csv").read_bytes()
 
+    def _file_config_hash(self, tmp_path, name, values):
+        # a korn gp config that reads P from a field file at tmp_path / name
+        grid = GridSpec((4, 4, 4), (0.0,) * 3, 0.25)
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fieldio.save_field(path, MatrixField(grid, values))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_file": str(path)}))
+        return cli.load_config("korn-gp", cfg).sha256
+
+    def test_field_file_hashed_by_bytes_not_path(self, tmp_path):
+        values = np.broadcast_to(np.eye(3), (4, 4, 4, 3, 3)).copy()
+        first = self._file_config_hash(tmp_path, "a/p.kfk", values)
+        assert self._file_config_hash(tmp_path, "b/other.kfk", values) == first
+        values[1, 2, 3, 0, 1] = 0.25
+        assert self._file_config_hash(tmp_path, "a/p.kfk", values) != first
+
+    @pytest.mark.parametrize("command, key, params", [
+        (["korn", "probe"], "p_file", {"gamma": "none"}),
+        (["transport", "flood"], "mask_file", {}),
+    ], ids=["probe-p-file", "flood-mask-file"])
+    def test_missing_field_file_names_its_key(self, tmp_path, capsys, command, key,
+                                              params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(tmp_path / "missing.kfk"), **params}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
+
     def test_seed_changes_seeded_experiments(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg = tmp_path / "cfg.json"
@@ -164,6 +194,18 @@ class TestVerifyCurl:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "levels")
+
+    @pytest.mark.parametrize("wavenumber", [0.0, -2.0, float("inf")],
+                             ids=["zero", "negative", "inf"])
+    def test_trig_wavenumber_must_be_positive(self, tmp_path, capsys, wavenumber):
+        # a zero wavenumber samples constant fields, whose errors are all 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "trigonometric", "shape": 9, "levels": 2,
+                                   "wavenumber": wavenumber}))
+        code = run_cli(["verify-curl", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "wavenumber")
 
 
 class TestTransportCommands:

@@ -200,6 +200,31 @@ class TestEntryGradients:
         assert np.max(np.abs(grads - exact)) <= 1e-12
 
 
+class TestCentralDifference:
+    @pytest.mark.parametrize("trailing", [(), (3, 3)], ids=["scalar", "matrix"])
+    def test_equals_gradient_interior_bit_for_bit(self, trailing):
+        g = GridSpec((5, 7, 9), (0.1, -0.3, 0.2), 0.17)
+        values = np.random.default_rng(4).uniform(-1, 1, g.shape + trailing)
+        for axis in range(3):
+            expected = np.gradient(values, g.spacing, axis=axis, edge_order=2)
+            got = fields._central(values, g.spacing, axis)
+            assert got.shape == (3, 5, 7) + trailing
+            assert np.array_equal(got, expected[g.interior()])
+
+
+class _PlaneCounter:
+    """A lazy field that records which axis-0 planes it is asked for."""
+
+    def __init__(self, lazy):
+        self.lazy = lazy
+        self.grid = lazy.grid
+        self.sampled = []
+
+    def sample_planes(self, start, stop):
+        self.sampled.extend(range(start, stop))
+        return self.lazy.sample_planes(start, stop)
+
+
 def _single_pass_gap(x, y, curl_y=None):
     """The discrepancy from whole-grid differences and one pointwise call."""
     inner = x.grid.interior()
@@ -273,6 +298,45 @@ class TestVerifyCurlProduct:
         y_case = analytic.random_trig_matrix(8, wavenumber=2.0)
         y, curl_y = y_case.sample(g), y_case.sample_curl(g)
         assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (9, 5, 5), (10, 65, 65)],
+                             ids=["one-plane", "one-slab", "last-slab-one-plane"])
+    @pytest.mark.parametrize("exact_curl", [False, True], ids=["fd-curl", "exact-curl"])
+    def test_equals_single_pass(self, shape, exact_curl):
+        g = GridSpec(shape, (0.2, -0.1, 0.3), 0.05)
+        x = analytic.random_trig_matrix(15, wavenumber=2.0).sample(g)
+        y_case = analytic.random_trig_matrix(16, wavenumber=2.0)
+        y = y_case.sample(g)
+        curl_y = y_case.sample_curl(g) if exact_curl else None
+        assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
+
+    def test_last_slab_holds_one_plane(self):
+        # the (10, 65, 65) case above: 8 interior planes in slabs of 7
+        assert (10 - 2) % (fields._SLAB_POINTS // (65 * 65)) == 1
+
+    def test_each_plane_sampled_once(self):
+        g = unit_grid(65)
+        x = _PlaneCounter(analytic.LazyMatrixSample(analytic.random_trig_matrix(17), g))
+        y = _PlaneCounter(analytic.LazyMatrixSample(analytic.random_trig_matrix(18), g))
+        assert fields._SLAB_POINTS // (65 * 65) < 63  # several slabs
+        curl_product_discrepancy(x, y)
+        assert sorted(x.sampled) == list(range(65))
+        assert sorted(y.sampled) == list(range(65))
+
+    def test_differences_interior_points_only(self, monkeypatch):
+        # np.gradient would also difference the halo planes and the grid edges
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.gradient called")
+
+        g = unit_grid(9)
+        x_case = analytic.random_trig_matrix(19, wavenumber=2.0)
+        y_case = analytic.random_trig_matrix(20, wavenumber=2.0)
+        x, y, curl_y = x_case.sample(g), y_case.sample(g), y_case.sample_curl(g)
+        monkeypatch.setattr(fields.np, "gradient", refuse)
+        assert np.isfinite(curl_product_discrepancy(x, y))
+        assert np.isfinite(curl_product_discrepancy(x, y, curl_y))
+        assert np.isfinite(curl_product_discrepancy(
+            analytic.LazyMatrixSample(x_case, g), analytic.LazyMatrixSample(y_case, g)))
 
     def test_peak_memory_bounded_by_slab(self):
         x_case = analytic.random_trig_matrix(13, wavenumber=2.0)
