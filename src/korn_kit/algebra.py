@@ -9,10 +9,10 @@ Conventions used throughout the package:
 * The row-built 9x9 operators L_diag, L_skew, L_sym and L = L_skew + L_sym
   are assembled from smat of the rows of a 3x3 matrix Y.  L is symmetric
   and det L == -2 * det(Y)**3, so L is invertible exactly when Y is.
-  These matrices are the reference algebra (inverse, determinant, G_P);
-  the curl-of-product formulas apply the operators to fields as cross
-  products of the rows of Y, since every block is +-smat(row of Y), and
-  never build a 9x9 matrix per point.
+  These matrices are the reference algebra that tests check against; on
+  fields the curl-of-product formulas apply them as cross products of the
+  rows of Y (every block is +-smat(row of Y)) and apply_l_inverse inverts
+  L in closed form, so no 9x9 matrix is built per point.
 * A "grad27" value collects the nine entry gradients of a matrix field,
   shape (9, 3): row k is the spatial gradient of vec(X)[k].
 
@@ -197,8 +197,24 @@ def build_l_operators(y) -> LOperators:
     return LOperators(diag=diag, skew=skew, sym=sym)
 
 
+def apply_l_inverse(y, h, det_y) -> np.ndarray:
+    """mat(L_Y^{-1} vec(H)) for batched 3x3 Y and H, given det Y.
+
+    L_Y is the derivative of the cofactor map at Y: row n of cof Y is the
+    cross product of the other two rows, whose derivative gives the
+    +-smat(row of Y) blocks.  Differentiating cof Y = det(Y) Y^{-T} and
+    solving L_Y(K) = H gives K = (tr(Y^T H)/2 Y - Y H^T Y) / det Y, two 3x3
+    products and a trace; at Y = I it is Nye's formula tr(H)/2 I - H^T.
+    The caller has det Y and guards its floor.
+    """
+    out = 0.5 * np.einsum("...ij,...ij->...", y, h)[..., None, None] * y
+    out -= y @ np.swapaxes(h, -1, -2) @ y
+    out /= np.asarray(det_y)[..., None, None]
+    return out
+
+
 def invert_l(y, min_det: float = DEFAULT_MIN_DET) -> np.ndarray:
-    """Inverse of L built from Y, guarded by a determinant floor.
+    """Inverse of L built from Y by apply_l_inverse, behind a determinant floor.
 
     Raises DeterminantTooSmall if |det Y| < min_det (det L = -2 det(Y)**3,
     so L degenerates exactly with Y), or if the computed inverse fails the
@@ -208,11 +224,12 @@ def invert_l(y, min_det: float = DEFAULT_MIN_DET) -> np.ndarray:
     y = _as_float_array(y, (3, 3), "y")
     if min_det <= 0.0:
         raise ValueError("min_det must be positive")
-    det_floor(y, min_det, "Y", absolute=True)
+    dets = det_floor(y, min_det, "Y", absolute=True)
+    columns = apply_l_inverse(y[..., None, :, :], np.eye(9).reshape(9, 3, 3),
+                              dets[..., None])
+    l_inv = np.swapaxes(columns.reshape(y.shape[:-2] + (9, 9)), -1, -2)
     l_full = build_l_operators(y).full
-    l_inv = np.linalg.inv(l_full)
-    eye = np.eye(9)
-    residual = np.max(np.abs(l_full @ l_inv - eye), axis=(-2, -1))
+    residual = np.max(np.abs(l_full @ l_inv - np.eye(9)), axis=(-2, -1))
     scale = np.max(np.abs(l_full), axis=(-2, -1))
     if np.any(residual > 1e-12 * np.maximum(scale, 1.0)):
         raise DeterminantTooSmall(

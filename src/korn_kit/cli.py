@@ -141,12 +141,25 @@ def _grid_from_params(params) -> GridSpec:
         raise ConfigError(f"invalid grid parameters: {exc}", key="shape")
 
 
+def _input_field(params, key, cls):
+    """The field that the file params[key] holds, which must be a cls."""
+    if not params.get(key):
+        raise ConfigError(f"{key} must name a field file", key=key)
+    try:
+        fld = fieldio.load_field(params[key])
+    except GridTooLarge:
+        raise
+    except (ValueError, KornKitError) as exc:
+        raise ConfigError(f"cannot load {key}: {exc}", key=key)
+    if not isinstance(fld, cls):
+        raise ConfigError(f"{key} must hold a {cls.__name__}", key=key)
+    return fld
+
+
 def _resolve_p_field(params):
     """Coefficient field plus its grid; a p_file brings its own grid along."""
     if params.get("p_file"):
-        fld = fieldio.load_field(params["p_file"])
-        if not isinstance(fld, MatrixField):
-            raise ConfigError("p_file does not contain a matrix field", key="p_file")
+        fld = _input_field(params, "p_file", MatrixField)
         return fld, fld.grid
     grid = _grid_from_params(params)
     family = dict(params.get("p_family", {"name": "identity"}))
@@ -324,12 +337,8 @@ def _run_transport_propagate(cfg: RunConfig, rng):
     steps = int(params["steps"])
 
     if case == "files":
-        coef = fieldio.load_field(params["g_file"])
-        face = fieldio.load_field(params["face_file"])
-        if not isinstance(coef, CoefficientTensorField):
-            raise ConfigError("g_file must hold a coefficient tensor", key="g_file")
-        if not isinstance(face, VectorField):
-            raise ConfigError("face_file must hold a vector field", key="face_file")
+        coef = _input_field(params, "g_file", CoefficientTensorField)
+        face = _input_field(params, "face_file", VectorField)
         grid = coef.grid
         residual_tol = cfg.require_positive_tol(1e-6)
         exact = None
@@ -375,8 +384,8 @@ def _run_transport_flood(cfg: RunConfig, rng):
     domain_kind = params["domain"]
 
     if params.get("mask_file"):
-        mask_field = fieldio.load_field(params["mask_file"])
-        if not isinstance(mask_field, VectorField) or mask_field.components != 1:
+        mask_field = _input_field(params, "mask_file", VectorField)
+        if mask_field.components != 1:
             raise ConfigError("mask_file must hold a one-component field",
                               key="mask_file")
         grid = mask_field.grid
@@ -416,9 +425,7 @@ def _run_transport_flood(cfg: RunConfig, rng):
         coef = CoefficientTensorField(grid, vals)
 
     if params.get("zeta_file"):
-        zeta = fieldio.load_field(params["zeta_file"])
-        if not isinstance(zeta, VectorField):
-            raise ConfigError("zeta_file must hold a vector field", key="zeta_file")
+        zeta = _input_field(params, "zeta_file", VectorField)
     else:
         zeta = VectorField.zeros(grid, grid.dim)
 
@@ -510,8 +517,8 @@ def _run_korn_rigid(cfg: RunConfig, rng):
     params = cfg.params
     case = params["case"]
     if case == "files":
-        phi = fieldio.load_field(params["phi_file"])
-        psi = fieldio.load_field(params["psi_file"])
+        phi = _input_field(params, "phi_file", VectorField)
+        psi = _input_field(params, "psi_file", VectorField)
         tol = cfg.require_positive_tol(1e-6)
         true_axial = None
     else:

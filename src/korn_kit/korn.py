@@ -37,10 +37,6 @@ if TYPE_CHECKING:  # annotations only; the solvers import scipy when they run
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-# Levi-Civita symbol [i, m, k] = smat(e_m)[i, k], kept contiguous because the
-# einsum in build_gp sums in an order that follows its operands' layout
-_EPS3 = np.ascontiguousarray(np.moveaxis(algebra.smat(np.eye(3)), 0, 1))
-
 # bytes above which the band of the shift-invert factor is refused up front
 _BAND_BYTES_CAP = 2 ** 32
 # relative eigenpair residual above which a solve counts as failed
@@ -381,22 +377,25 @@ def build_gp(P: MatrixField, curl_p: Optional[MatrixField] = None,
              min_det: float = algebra.DEFAULT_MIN_DET) -> CoefficientTensorField:
     """Coefficient tensor of the transport system satisfied by axial vectors.
 
-    Per point the linear map is zeta -> -mat(L_P^{-1} vec(smat(zeta) curl P));
-    it vanishes wherever curl P does, and L_P is invertible because det P is
-    bounded below.
+    Per point the linear map is zeta -> -mat(L_P^{-1} vec(smat(zeta) curl P)),
+    so column m of G_P is -L_P^{-1}(smat(e_m) curl P), applied by the closed
+    form algebra.apply_l_inverse with no 9x9 matrix per point.  It vanishes
+    wherever curl P does, and L_P is invertible because det P is bounded below.
     """
     grid = P.grid
     if grid.dim != 3:
         raise DimensionMismatch("the coefficient tensor is three-dimensional")
-    algebra.det_floor(P.values, min_det, "P")
+    dets = algebra.det_floor(P.values, min_det, "P")
     if curl_p is None:
         curl_p = fd_curl_rowwise(P)
     elif curl_p.grid != grid:
         raise ValueError("curl_p must live on the grid of P")
-    l_full = algebra.build_l_operators(P.values).full
-    x9 = np.einsum("imk,...kj->...ijm", _EPS3, curl_p.values)
-    m9 = -np.linalg.solve(l_full, x9.reshape(grid.shape + (9, 3)))
-    return CoefficientTensorField(grid, m9.reshape(grid.shape + (3, 3, 3)))
+    values = np.empty(grid.shape + (3, 3, 3))
+    # -smat(e_m) carries the sign, since L_P^{-1} is linear
+    for m, neg_e_m in enumerate(algebra.smat(-np.eye(3))):
+        values[..., m] = algebra.apply_l_inverse(P.values, neg_e_m @ curl_p.values,
+                                                 dets)
+    return CoefficientTensorField(grid, values)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,39 @@ class TestInvertL:
             algebra.invert_l(np.eye(3), min_det=0.0)
 
 
+
+class TestApplyLInverse:
+    def test_matches_reference_inverse(self):
+        rng = np.random.default_rng(11)
+        ys = rng.uniform(-1, 1, (3000, 3, 3))
+        ys = ys[np.abs(np.linalg.det(ys)) > 0.05][:1000]
+        assert len(ys) == 1000
+        hs = rng.uniform(-1, 1, (1000, 3, 3))
+        got = algebra.apply_l_inverse(ys, hs, np.linalg.det(ys)).reshape(1000, 9)
+        full = algebra.build_l_operators(ys).full
+        ref = np.einsum("npq,nq->np", np.linalg.inv(full), hs.reshape(1000, 9))
+        scale = np.max(np.abs(ref), axis=-1)
+        assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
+
+    def test_formula_is_exact_inverse_in_rationals(self):
+        y = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
+        ys = sympy.Matrix(y)
+        assert ys.det() == 7
+        exact = sympy.Matrix(algebra.build_l_operators(y).full.astype(int)).inv()
+        for c in range(9):
+            h = sympy.Matrix(3, 3, lambda i, j: int(3 * i + j == c))
+            k = ((ys.T * h).trace() / 2 * ys - ys * h.T * ys) / ys.det()
+            assert list(k) == list(exact[:, c])  # sympy flattens row-major
+        got = algebra.apply_l_inverse(y.astype(float), np.eye(9).reshape(9, 3, 3), 7.0)
+        expected = np.array(exact.T.tolist(), dtype=float).reshape(9, 3, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_identity_is_nye_formula(self):
+        h = np.random.default_rng(12).uniform(-1, 1, (3, 3))
+        got = algebra.apply_l_inverse(np.eye(3), h, 1.0)
+        assert np.array_equal(got, np.trace(h) / 2 * np.eye(3) - h.T)
+
+
 def _grad27_of_skew(grad_axl):
     # entry gradients of smat(zeta) when the axial vector has Jacobian grad_axl
     out = np.zeros((9, 3))

@@ -154,6 +154,30 @@ class TestReports:
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", key)
 
+    @pytest.mark.parametrize("command, key, params", [
+        (["transport", "propagate"], "g_file", {"case": "files"}),
+        (["korn", "rigid"], "phi_file", {"case": "files"}),
+        (["korn", "rigid"], "phi_file", {"case": "files", "phi_file": "matrix.kfk",
+                                         "psi_file": "vector.kfk"}),
+        (["korn", "gp"], "p_file", {"p_file": "truncated.kfk"}),
+    ], ids=["propagate-unset", "rigid-unset", "rigid-wrong-type", "gp-truncated"])
+    def test_bad_field_file_names_its_key(self, tmp_path, capsys, command, key,
+                                          params):
+        grid = GridSpec((5, 5, 5), (0.0,) * 3, 0.25)
+        fieldio.save_field(tmp_path / "matrix.kfk",
+                           MatrixField.constant(grid, np.eye(3)))
+        fieldio.save_field(tmp_path / "vector.kfk", VectorField.zeros(grid, 3))
+        raw = (tmp_path / "matrix.kfk").read_bytes()
+        (tmp_path / "truncated.kfk").write_bytes(raw[:len(raw) // 2])
+        params = {k: str(tmp_path / v) if k.endswith("_file") else v
+                  for k, v in params.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
+
     def test_seed_changes_seeded_experiments(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg = tmp_path / "cfg.json"

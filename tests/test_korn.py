@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,19 @@ class TestBuildGP:
         p = MatrixField.constant(g, np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(DeterminantTooSmall):
             build_gp(p)
+
+    def test_peak_memory_is_a_few_outputs(self):
+        # no (points, 9, 9) array: the closed-form inverse works on 3x3 blocks
+        g = unit_cell_grid(17)
+        p = builtin_p_field("rotation-valued", g)
+        curl_p = fd_curl_rowwise(p)
+        tracemalloc.start()
+        try:
+            gp = build_gp(p, curl_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * gp.values.nbytes
 
 
 class TestProbe:
