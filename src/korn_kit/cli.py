@@ -177,6 +177,15 @@ def _face_from_params(params, key, grid):
     return axis, side
 
 
+def _dense_cap(params) -> int:
+    """params["dense_cap"], which must be a non-negative integer (not a bool)."""
+    cap = params["dense_cap"]
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        raise ConfigError(f"dense_cap must be a non-negative integer, got {cap!r}",
+                          key="dense_cap")
+    return cap
+
+
 def _korn_problem(params):
     p_field, grid = _resolve_p_field(params)
     gamma = None
@@ -455,12 +464,12 @@ def _run_transport_counterexample(cfg: RunConfig, rng):
 
 def _run_korn_eig(cfg: RunConfig, rng):
     params = cfg.params
+    dense_cap = _dense_cap(params)
     problem = _korn_problem(params)
     gamma = problem.gamma_mask
     form = korn.assemble_form(problem)
     grams = ["l2", "h1"] if params["gram"] == "both" else [params["gram"]]
-    results = {g: korn.min_rayleigh(form, g, dense_cap=int(params["dense_cap"]))
-               for g in grams}
+    results = {g: korn.min_rayleigh(form, g, dense_cap=dense_cap) for g in grams}
 
     if gamma is None:
         expected = int(params["expect_kernel_dim"])
@@ -487,10 +496,10 @@ def _run_korn_eig(cfg: RunConfig, rng):
 
 def _run_korn_probe(cfg: RunConfig, rng):
     params = cfg.params
+    dense_cap = _dense_cap(params)
     problem = _korn_problem(params)
     gamma = problem.gamma_mask
-    probe = korn.norm_property_probe(problem, params["gram"],
-                                     dense_cap=int(params["dense_cap"]))
+    probe = korn.norm_property_probe(problem, params["gram"], dense_cap=dense_cap)
     if gamma is None:
         passed = probe.kernel_found and probe.diagnostics.boundary_condition_missing
     else:
@@ -595,12 +604,12 @@ _EXPERIMENTS = {
     "korn-eig": ({"shape": [5, 5, 5], "spacing": 0.2, "origin": None,
                   "p_family": {"name": "identity"}, "p_file": None,
                   "gamma": {"axis": 0, "side": 0}, "gram": "l2",
-                  "dense_cap": 6000, "min_det": 1e-12,
+                  "dense_cap": korn.DENSE_CAP, "min_det": 1e-12,
                   "expect_kernel_dim": 6}, _run_korn_eig),
     "korn-probe": ({"shape": [5, 5, 5], "spacing": 0.2, "origin": None,
                     "p_family": {"name": "identity"}, "p_file": None,
                     "gamma": {"axis": 0, "side": 0}, "gram": "l2",
-                    "dense_cap": 6000, "min_det": 1e-12}, _run_korn_probe),
+                    "dense_cap": korn.DENSE_CAP, "min_det": 1e-12}, _run_korn_probe),
     "korn-rigid": ({"case": "affine", "shape": [9, 9, 9], "spacing": None,
                     "origin": None, "min_det": 1e-12, "phi_file": None,
                     "psi_file": None}, _run_korn_rigid),

@@ -88,6 +88,20 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "shape")
 
+    @pytest.mark.parametrize("command, cap", [
+        (["korn", "eig"], "many"), (["korn", "eig"], None), (["korn", "eig"], 2.5),
+        (["korn", "eig"], True), (["korn", "eig"], -1), (["korn", "probe"], 2.5),
+    ], ids=["eig-string", "eig-null", "eig-float", "eig-bool", "eig-negative",
+            "probe-float"])
+    def test_dense_cap_must_be_a_non_negative_integer(self, tmp_path, capsys,
+                                                      command, cap):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dense_cap": cap}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "dense_cap")
+
     @pytest.mark.parametrize("command, key, face", [
         (["korn", "eig"], "gamma", {"axis": 3, "side": 0}),
         (["korn", "probe"], "gamma", {"axis": -4, "side": 0}),
@@ -123,6 +137,21 @@ class TestReports:
             (out2 / "korn_eig.json").read_bytes()
         assert (out1 / "korn_eig_eigenvalues.csv").read_bytes() == \
             (out2 / "korn_eig_eigenvalues.csv").read_bytes()
+
+    def test_byte_identical_sparse_probe_reports(self, tmp_path):
+        # free 9^3: 2187 DOFs, above the dense cap, so ARPACK solves it twice
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [9, 9, 9], "spacing": None,
+                                   "gamma": "none"}))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert run_cli(["korn", "probe", "--config", str(cfg),
+                            "--out", str(out)]) == 0
+        assert read_report(out1, "korn_probe.json")["kernel_dim"] == 6
+        assert sorted(p.name for p in out1.iterdir()) == \
+            sorted(p.name for p in out2.iterdir())
+        for path in out1.iterdir():
+            assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
 
     def _file_config_hash(self, tmp_path, name, values):
         # a korn gp config that reads P from a field file at tmp_path / name

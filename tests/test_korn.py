@@ -223,6 +223,35 @@ class TestEigensolvePaths:
                 gap = np.max(np.abs(result.eigenvalues - full))
                 assert gap <= 1e-10 * np.max(np.abs(full)), (name, gram)
 
+    @staticmethod
+    def free_7_cubed(family):
+        g = unit_cell_grid(7)  # 1029 DOFs, just above DENSE_CAP
+        return assemble_form(KornProblem(g, builtin_p_field(family, g), None))
+
+    @pytest.mark.parametrize("family", ["identity", "rotation-valued"])
+    @pytest.mark.parametrize("gram", ["l2", "h1"])
+    def test_sparse_matches_full_generalized_solve_on_free_problem(self, family,
+                                                                   gram):
+        form = self.free_7_cubed(family)
+        sparse = min_rayleigh(form, gram, dense_cap=0)
+        full = scipy.linalg.eigh(form.operator.toarray(), form.gram(gram).toarray(),
+                                 eigvals_only=True)[:12]
+        assert not sparse.dense
+        # relative to the largest eigenvalue: rotation-valued P has a near-kernel
+        # pair whose absolute error is roundoff on both paths
+        gap = np.max(np.abs(sparse.eigenvalues - full))
+        assert gap <= 1e-12 * np.max(np.abs(full))
+
+    def test_default_cap_sends_free_7_cubed_to_the_sparse_path(self):
+        form = self.free_7_cubed("identity")
+        assert form.n_dofs > korn.DENSE_CAP
+        first = min_rayleigh(form, "l2")
+        # v0 = ones is a kernel vector, so ARPACK restarts from its own vector
+        second = min_rayleigh(form, "l2")
+        assert not first.dense and first.kernel_dim == 6
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvector.values, second.eigenvector.values)
+
     def test_nd_sparse_matches_dense_graded_roughness(self):
         g = GridSpec((7,) * 3, (0.0,) * 3, 1.0 / 6)
         p = builtin_p_field("graded-roughness", g, seed=3, frequency=2.0)
