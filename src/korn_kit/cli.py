@@ -177,13 +177,33 @@ def _face_from_params(params, key, grid):
     return axis, side
 
 
-def _dense_cap(params) -> int:
-    """params["dense_cap"], which must be a non-negative integer (not a bool)."""
-    cap = params["dense_cap"]
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
-        raise ConfigError(f"dense_cap must be a non-negative integer, got {cap!r}",
-                          key="dense_cap")
-    return cap
+def _non_negative_int(params, key) -> int:
+    """params[key], which must be a non-negative integer (not a bool)."""
+    value = params[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}",
+                          key=key)
+    return value
+
+
+def _min_det(params) -> float:
+    """params["min_det"], which must be a positive finite number (not a bool)."""
+    value = params["min_det"]
+    # comparing first keeps float() from overflowing on a huge integer
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise ConfigError(f"min_det must be a positive finite number, got {value!r}",
+                          key="min_det")
+    return float(value)
+
+
+def _gram(params, choices) -> str:
+    """params["gram"], which must be one of choices."""
+    gram = params["gram"]
+    if gram not in choices:
+        raise ConfigError(f"gram must be one of {', '.join(choices)}, got {gram!r}",
+                          key="gram")
+    return gram
 
 
 def _korn_problem(params):
@@ -191,7 +211,7 @@ def _korn_problem(params):
     gamma = None
     if params["gamma"] not in (None, "none"):
         gamma = korn.face_mask(grid, *_face_from_params(params, "gamma", grid))
-    return korn.KornProblem(grid, p_field, gamma, min_det=float(params["min_det"]))
+    return korn.KornProblem(grid, p_field, gamma, min_det=_min_det(params))
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +484,16 @@ def _run_transport_counterexample(cfg: RunConfig, rng):
 
 def _run_korn_eig(cfg: RunConfig, rng):
     params = cfg.params
-    dense_cap = _dense_cap(params)
+    dense_cap = _non_negative_int(params, "dense_cap")
+    expected = _non_negative_int(params, "expect_kernel_dim")
+    gram = _gram(params, ("l2", "h1", "both"))
     problem = _korn_problem(params)
     gamma = problem.gamma_mask
     form = korn.assemble_form(problem)
-    grams = ["l2", "h1"] if params["gram"] == "both" else [params["gram"]]
+    grams = ["l2", "h1"] if gram == "both" else [gram]
     results = {g: korn.min_rayleigh(form, g, dense_cap=dense_cap) for g in grams}
 
     if gamma is None:
-        expected = int(params["expect_kernel_dim"])
         passed = all(r.kernel_dim == expected for r in results.values())
     else:
         passed = all(r.lambda_min > r.kernel_threshold for r in results.values())
@@ -496,10 +517,11 @@ def _run_korn_eig(cfg: RunConfig, rng):
 
 def _run_korn_probe(cfg: RunConfig, rng):
     params = cfg.params
-    dense_cap = _dense_cap(params)
+    dense_cap = _non_negative_int(params, "dense_cap")
+    gram = _gram(params, ("l2", "h1"))
     problem = _korn_problem(params)
     gamma = problem.gamma_mask
-    probe = korn.norm_property_probe(problem, params["gram"], dense_cap=dense_cap)
+    probe = korn.norm_property_probe(problem, gram, dense_cap=dense_cap)
     if gamma is None:
         passed = probe.kernel_found and probe.diagnostics.boundary_condition_missing
     else:
@@ -550,7 +572,7 @@ def _run_korn_rigid(cfg: RunConfig, rng):
         psi = VectorField(grid, psi_vals)
         true_axial = omega
 
-    recovery = korn.rigid_recover(phi, psi, min_det=float(params["min_det"]))
+    recovery = korn.rigid_recover(phi, psi, min_det=_min_det(params))
     body = {"case": case, "recovery": recovery}
     passed = recovery.reconstruction_residual <= tol
     if true_axial is not None:
@@ -566,7 +588,7 @@ def _run_korn_rigid(cfg: RunConfig, rng):
 def _run_korn_gp(cfg: RunConfig, rng):
     params = cfg.params
     p_field, grid = _resolve_p_field(params)
-    tensor = korn.build_gp(p_field, min_det=float(params["min_det"]))
+    tensor = korn.build_gp(p_field, min_det=_min_det(params))
     fieldio.save_field(cfg.out_dir / "gp_field.kfk", tensor)
     dets = np.linalg.det(p_field.values)
     body = {"grid": {"shape": grid.shape, "spacing": grid.spacing},

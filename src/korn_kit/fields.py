@@ -17,12 +17,18 @@ Y on its planes plus one halo plane per side, takes central differences at
 its interior points only and evaluates the formula there, so the peak memory
 of sampling, differencing and the formula scales with the slab, not the
 grid.  Neighbouring slabs share their two boundary planes, which are carried
-over, so every plane is sampled once.
+over, so every plane is sampled once.  The interior planes are split into one
+contiguous part per usable CPU, each streamed in a thread of its own with
+slabs that many times smaller; the two planes at each cut are sampled once,
+up front, and handed to both parts, so the result does not depend on the
+number of parts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +37,8 @@ from . import algebra
 from .errors import DimensionMismatch, GridTooLarge, GridTooSmall
 
 POINT_CAP = 2 ** 24
-# interior grid points per slab of the streamed curl-of-product check
+# interior grid points per slab of the streamed curl-of-product check, summed
+# over the parts that run at once
 _SLAB_POINTS = 2 ** 15
 
 
@@ -313,7 +320,9 @@ def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
     stop) of axis 0, such as an analytic family sampled lazily.  Each slab
     of interior planes sees one halo plane per side, and only its interior
     points are differenced, with the expression np.gradient uses there, so
-    the result equals a whole-grid pass bit for bit.
+    the result equals a whole-grid pass bit for bit, whatever the number of
+    parts the planes are split into.  sample_planes may be called from
+    several threads at once.
     """
     if x.grid != y.grid:
         raise DimensionMismatch("X and Y must share a grid")
@@ -323,14 +332,70 @@ def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
     _require_stencil_room(grid)
     if curl_y_exact is not None and curl_y_exact.grid != grid:
         raise DimensionMismatch("curl_y_exact must live on the same grid")
-    h = grid.spacing
     last = grid.shape[0] - 1
-    planes = max(1, _SLAB_POINTS // (grid.shape[1] * grid.shape[2]))
-    bounds = [(start, min(start + planes, last)) for start in range(1, last, planes)]
+    # two interior planes per part at least, so the planes at two cuts are
+    # never the same plane
+    parts = max(1, min(_usable_cpus(), (last - 1) // 2))
+    edges = [1 + (last - 1) * p // parts for p in range(parts + 1)]
+    planes = max(1, _SLAB_POINTS // parts // (grid.shape[1] * grid.shape[2]))
+    # the planes [edge - 1, edge + 1) at each cut end one part and start the next
+    x_cuts, y_cuts = ([None] + [f.sample_planes(e - 1, e + 1) for e in edges[1:-1]]
+                      + [None] for f in (x, y))
+    parts_args = [(x, y, curl_y_exact,
+                   [(start, min(start + planes, b)) for start in range(a, b, planes)],
+                   x_cuts[p:p + 2], y_cuts[p:p + 2])
+                  for p, (a, b) in enumerate(zip(edges, edges[1:]))]
+    return max(_in_threads(_part_gap, parts_args))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(fn, args_list) -> list:
+    """fn(*args) for each args in args_list, all but the first in threads.
+
+    The first call runs in the calling thread, so one call starts no thread.
+    Every thread is joined before this returns or raises, and an exception
+    raised in a thread is raised here, the earliest call's first.
+    """
+    results = [None] * len(args_list)
+    errors = [None] * len(args_list)
+
+    def run(k):
+        try:
+            results[k] = fn(*args_list[k])
+        except Exception as exc:  # raised again in the calling thread
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, len(args_list)):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
+        results[0] = fn(*args_list[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _part_gap(x, y, curl_y_exact, bounds, x_ends, y_ends) -> float:
+    """The gap over one part's slabs; x_ends and y_ends are its (head, tail)."""
+    grid = x.grid
+    h = grid.spacing
     inner = grid.interior()
     slab_max = []
-    for (start, stop), xs, ys in zip(bounds, _halo_slabs(x, bounds),
-                                     _halo_slabs(y, bounds)):
+    for (start, stop), xs, ys in zip(bounds, _halo_slabs(x, bounds, *x_ends),
+                                     _halo_slabs(y, bounds, *y_ends)):
         lhs = _curl_rows(xs @ ys, h, _central)
         if curl_y_exact is None:
             curl_y = _curl_rows(ys, h, _central)
@@ -342,18 +407,27 @@ def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
     return float(np.max(slab_max))
 
 
-def _halo_slabs(field, bounds):
+def _halo_slabs(field, bounds, head=None, tail=None):
     """A field's values on planes [start - 1, stop + 1) for each slab in turn.
 
     Consecutive slabs (each start is the previous stop) share two planes,
-    which are carried over, so every plane is sampled once.
+    which are carried over, so every plane is sampled once.  With a the
+    first slab's start and b the last slab's stop, head holds planes
+    [a - 1, a + 1) and tail planes [b - 1, b + 1), where given; neither is
+    sampled again.
     """
-    values = None
+    # planes from here on come from the tail
+    tail_start = bounds[-1][1] + 1 if tail is None else bounds[-1][1] - 1
+    values = head
     for start, stop in bounds:
-        if values is None:
-            values = field.sample_planes(start - 1, stop + 1)
-        else:
-            values = np.concatenate((values[-2:], field.sample_planes(start + 1, stop + 1)))
+        held = start - 1 if values is None else start + 1  # first plane not held
+        pieces = [] if values is None else [values[-2:]]
+        if min(stop + 1, tail_start) > held:
+            pieces.append(field.sample_planes(held, min(stop + 1, tail_start)))
+        if stop + 1 > tail_start:
+            pieces.append(tail[max(held, tail_start) - tail_start:stop + 1 - tail_start])
+        values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        del pieces  # the previous slab's values are freed before this slab's work
         yield values
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from korn_kit import cli, fieldio, korn
+from korn_kit import cli, fieldio, fields, korn
 from korn_kit.fields import GridSpec, MatrixField, VectorField
 from korn_kit.transport import CoefficientTensorField
 
@@ -101,6 +101,47 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "dense_cap")
+
+    @pytest.mark.parametrize("params", [
+        {"gamma": "none", "expect_kernel_dim": 6.9}, {"expect_kernel_dim": True},
+        {"expect_kernel_dim": -1}, {"expect_kernel_dim": "many"},
+    ], ids=["float", "bool", "negative", "string"])
+    def test_expect_kernel_dim_must_be_a_non_negative_integer(self, tmp_path, capsys,
+                                                              params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(["korn", "eig", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "expect_kernel_dim")
+
+    @pytest.mark.parametrize("command, min_det", [
+        (["korn", "eig"], "tiny"), (["korn", "eig"], True), (["korn", "eig"], 0.0),
+        (["korn", "probe"], -1e-12), (["korn", "probe"], float("inf")),
+        (["korn", "rigid"], None), (["korn", "gp"], float("nan")),
+        (["korn", "gp"], 10 ** 400),
+    ], ids=["eig-string", "eig-bool", "eig-zero", "probe-negative", "probe-inf",
+            "rigid-null", "gp-nan", "gp-huge-integer"])
+    def test_min_det_must_be_positive_and_finite(self, tmp_path, capsys, command,
+                                                 min_det):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_det": min_det}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "min_det")
+
+    @pytest.mark.parametrize("command, gram", [
+        (["korn", "eig"], "h2"), (["korn", "eig"], None), (["korn", "probe"], "both"),
+        (["korn", "probe"], "L2"),
+    ], ids=["eig-h2", "eig-null", "probe-both", "probe-upper-case"])
+    def test_gram_must_be_a_known_name(self, tmp_path, capsys, command, gram):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gram": gram}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "gram")
 
     @pytest.mark.parametrize("command, key, face", [
         (["korn", "eig"], "gamma", {"axis": 3, "side": 0}),
@@ -259,6 +300,23 @@ class TestVerifyCurl:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "wavenumber")
+
+
+    @pytest.mark.parametrize("params", [
+        {"case": "trigonometric", "shape": 9, "levels": 3},
+        {"case": "quadratic", "shape": 33},
+    ], ids=["trigonometric", "quadratic"])
+    def test_reports_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(fields, "_usable_cpus", lambda n=cpus: n)
+            out = tmp_path / f"cpus-{cpus}"
+            assert run_cli(["verify-curl", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(reports[0]) == ["verify_curl.json", "verify_curl_levels.csv"]
+        assert reports[0] == reports[1]
 
 
 class TestTransportCommands:

@@ -374,6 +374,95 @@ class TestVerifyCurlProduct:
             verify_curl_product(x, y)
 
 
+class _SampleError(RuntimeError):
+    pass
+
+
+class _FailingRange:
+    """A lazy field whose sample_planes raises on ranges that reach one plane."""
+
+    def __init__(self, lazy, plane):
+        self.lazy = lazy
+        self.grid = lazy.grid
+        self.plane = plane
+
+    def sample_planes(self, start, stop):
+        if start <= self.plane < stop:
+            raise _SampleError(f"plane {self.plane}")
+        return self.lazy.sample_planes(start, stop)
+
+
+def _force_cpus(monkeypatch, count):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: count)
+
+
+class TestPartedCheck:
+    """The interior planes split into one part per usable CPU."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (9, 5, 5), (10, 65, 65), (40, 33, 29)],
+                             ids=["one-plane", "one-slab", "last-slab-one-plane",
+                                  "many-slabs"])
+    @pytest.mark.parametrize("exact_curl", [False, True], ids=["fd-curl", "exact-curl"])
+    def test_equals_single_pass_for_every_part_count(self, monkeypatch, cpus, shape,
+                                                     exact_curl):
+        _force_cpus(monkeypatch, cpus)
+        g = GridSpec(shape, (0.2, -0.1, 0.3), 0.05)
+        x = analytic.random_trig_matrix(15, wavenumber=2.0).sample(g)
+        y_case = analytic.random_trig_matrix(16, wavenumber=2.0)
+        y = y_case.sample(g)
+        curl_y = y_case.sample_curl(g) if exact_curl else None
+        assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_every_plane_sampled_once_for_every_split(self, monkeypatch, cpus):
+        # slabs of one to four planes, so parts end in one-plane slabs too
+        _force_cpus(monkeypatch, cpus)
+        x_case = analytic.random_trig_matrix(21, wavenumber=2.0)
+        y_case = analytic.random_trig_matrix(22, wavenumber=2.0)
+        for n in range(3, 21):
+            g = GridSpec((n, 5, 4), (0.2, -0.1, 0.3), 0.05)
+            x, y = x_case.sample(g), y_case.sample(g)
+            single = _single_pass_gap(x, y)
+            for slab_points in (20, 40, 60, 80):
+                monkeypatch.setattr(fields, "_SLAB_POINTS", slab_points * cpus)
+                xc, yc = _PlaneCounter(x), _PlaneCounter(y)
+                assert curl_product_discrepancy(xc, yc) == single
+                assert sorted(xc.sampled) == sorted(yc.sampled) == list(range(n))
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 0), (2, 1), (3, 2), (64, 17)])
+    def test_threads_started(self, monkeypatch, cpus, threads):
+        # the caller runs the first part; parts hold two interior planes at least
+        started = []
+
+        class Recording(fields.threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        _force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(fields.threading, "Thread", Recording)
+        g = unit_grid(38)
+        x = _PlaneCounter(analytic.LazyMatrixSample(analytic.random_trig_matrix(17), g))
+        y = _PlaneCounter(analytic.LazyMatrixSample(analytic.random_trig_matrix(18), g))
+        curl_product_discrepancy(x, y)
+        assert len(started) == threads
+        assert sorted(x.sampled) == sorted(y.sampled) == list(range(38))
+
+    @pytest.mark.parametrize("cpus, plane", [(2, 3), (2, 30), (3, 20), (3, 16)],
+                             ids=["caller-part", "worker-part", "cut", "middle-part"])
+    def test_failure_raises_in_caller_after_joining(self, monkeypatch, cpus, plane):
+        _force_cpus(monkeypatch, cpus)
+        g = unit_grid(33)
+        x = analytic.LazyMatrixSample(analytic.random_trig_matrix(17), g)
+        y = _FailingRange(analytic.LazyMatrixSample(analytic.random_trig_matrix(18), g),
+                          plane)
+        before = fields.threading.active_count()
+        with pytest.raises(_SampleError):
+            curl_product_discrepancy(x, y)
+        assert fields.threading.active_count() == before
+
+
 class TestConvergenceReport:
     def test_orders(self):
         rep = ConvergenceReport((0.2, 0.1), (4e-2, 1e-2))
