@@ -485,10 +485,11 @@ def _run_transport_counterexample(cfg: RunConfig, rng):
 def _run_korn_eig(cfg: RunConfig, rng):
     params = cfg.params
     dense_cap = _non_negative_int(params, "dense_cap")
-    expected = _non_negative_int(params, "expect_kernel_dim")
     gram = _gram(params, ("l2", "h1", "both"))
     problem = _korn_problem(params)
     gamma = problem.gamma_mask
+    # only a free problem reads the expected kernel dimension
+    expected = _non_negative_int(params, "expect_kernel_dim") if gamma is None else None
     form = korn.assemble_form(problem)
     grams = ["l2", "h1"] if gram == "both" else [gram]
     results = {g: korn.min_rayleigh(form, g, dense_cap=dense_cap) for g in grams}

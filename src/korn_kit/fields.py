@@ -333,11 +333,15 @@ def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
     if curl_y_exact is not None and curl_y_exact.grid != grid:
         raise DimensionMismatch("curl_y_exact must live on the same grid")
     last = grid.shape[0] - 1
-    # two interior planes per part at least, so the planes at two cuts are
-    # never the same plane
-    parts = max(1, min(_usable_cpus(), (last - 1) // 2))
+    # the planes one serial slab holds, its two halo planes included; the
+    # parts' slabs share them, so the working set is one serial slab's
+    budget = max(1, _SLAB_POINTS // (grid.shape[1] * grid.shape[2])) + 2
+    # two interior planes per part and per slab at least: the planes at two
+    # cuts are never the same plane, and no slab holds more halo planes than
+    # planes it differences
+    parts = max(1, min(_usable_cpus(), (last - 1) // 2, budget // 4))
     edges = [1 + (last - 1) * p // parts for p in range(parts + 1)]
-    planes = max(1, _SLAB_POINTS // parts // (grid.shape[1] * grid.shape[2]))
+    planes = budget // parts - 2
     # the planes [edge - 1, edge + 1) at each cut end one part and start the next
     x_cuts, y_cuts = ([None] + [f.sample_planes(e - 1, e + 1) for e in edges[1:-1]]
                       + [None] for f in (x, y))
@@ -369,7 +373,7 @@ def _in_threads(fn, args_list) -> list:
     def run(k):
         try:
             results[k] = fn(*args_list[k])
-        except Exception as exc:  # raised again in the calling thread
+        except BaseException as exc:  # raised again in the calling thread
             errors[k] = exc
 
     started = []

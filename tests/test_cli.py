@@ -103,8 +103,10 @@ class TestExitCodes:
         assert (err["type"], err["key"]) == ("ConfigError", "dense_cap")
 
     @pytest.mark.parametrize("params", [
-        {"gamma": "none", "expect_kernel_dim": 6.9}, {"expect_kernel_dim": True},
-        {"expect_kernel_dim": -1}, {"expect_kernel_dim": "many"},
+        {"gamma": "none", "expect_kernel_dim": 6.9},
+        {"gamma": "none", "expect_kernel_dim": True},
+        {"gamma": "none", "expect_kernel_dim": -1},
+        {"gamma": "none", "expect_kernel_dim": "many"},
     ], ids=["float", "bool", "negative", "string"])
     def test_expect_kernel_dim_must_be_a_non_negative_integer(self, tmp_path, capsys,
                                                               params):
@@ -114,6 +116,12 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "expect_kernel_dim")
+
+    def test_clamped_eig_does_not_read_expect_kernel_dim(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"expect_kernel_dim": 6.9}))
+        code = run_cli(["korn", "eig", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0
 
     @pytest.mark.parametrize("command, min_det", [
         (["korn", "eig"], "tiny"), (["korn", "eig"], True), (["korn", "eig"], 0.0),

@@ -378,17 +378,22 @@ class _SampleError(RuntimeError):
     pass
 
 
+class _SampleAbort(BaseException):
+    pass
+
+
 class _FailingRange:
     """A lazy field whose sample_planes raises on ranges that reach one plane."""
 
-    def __init__(self, lazy, plane):
+    def __init__(self, lazy, plane, error=_SampleError):
         self.lazy = lazy
         self.grid = lazy.grid
         self.plane = plane
+        self.error = error
 
     def sample_planes(self, start, stop):
         if start <= self.plane < stop:
-            raise _SampleError(f"plane {self.plane}")
+            raise self.error(f"plane {self.plane}")
         return self.lazy.sample_planes(start, stop)
 
 
@@ -430,9 +435,10 @@ class TestPartedCheck:
                 assert curl_product_discrepancy(xc, yc) == single
                 assert sorted(xc.sampled) == sorted(yc.sampled) == list(range(n))
 
-    @pytest.mark.parametrize("cpus, threads", [(1, 0), (2, 1), (3, 2), (64, 17)])
+    @pytest.mark.parametrize("cpus, threads", [(1, 0), (2, 1), (3, 2), (64, 5)])
     def test_threads_started(self, monkeypatch, cpus, threads):
-        # the caller runs the first part; parts hold two interior planes at least
+        # the caller runs the first part; 38^2-point planes give a serial slab
+        # of 22 + 2 planes, and each part's slabs hold four planes at least
         started = []
 
         class Recording(fields.threading.Thread):
@@ -451,16 +457,47 @@ class TestPartedCheck:
 
     @pytest.mark.parametrize("cpus, plane", [(2, 3), (2, 30), (3, 20), (3, 16)],
                              ids=["caller-part", "worker-part", "cut", "middle-part"])
-    def test_failure_raises_in_caller_after_joining(self, monkeypatch, cpus, plane):
+    @pytest.mark.parametrize("error", [_SampleError, _SampleAbort])
+    def test_failure_raises_in_caller_after_joining(self, monkeypatch, cpus, plane,
+                                                    error):
         _force_cpus(monkeypatch, cpus)
         g = unit_grid(33)
         x = analytic.LazyMatrixSample(analytic.random_trig_matrix(17), g)
         y = _FailingRange(analytic.LazyMatrixSample(analytic.random_trig_matrix(18), g),
-                          plane)
+                          plane, error)
         before = fields.threading.active_count()
-        with pytest.raises(_SampleError):
+        with pytest.raises(error):
             curl_product_discrepancy(x, y)
         assert fields.threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 8, 64])
+    def test_peak_memory_stays_one_serial_slab(self, monkeypatch, cpus):
+        # the parts share the planes of one serial slab, halos included, so
+        # the bounds of the serial memory tests hold for any CPU count
+        x_case = analytic.random_trig_matrix(13, wavenumber=2.0)
+        y_case = analytic.random_trig_matrix(14, wavenumber=2.0)
+
+        def peak(x, y):
+            tracemalloc.start()
+            try:
+                curl_product_discrepancy(x, y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def lazy_peaks():
+            return [peak(analytic.LazyMatrixSample(x_case, unit_grid(n)),
+                         analytic.LazyMatrixSample(y_case, unit_grid(n)))
+                    for n in (33, 65)]
+
+        _force_cpus(monkeypatch, 1)
+        serial = lazy_peaks()
+        _force_cpus(monkeypatch, cpus)
+        parted = lazy_peaks()
+        assert parted[1] <= 1.25 * parted[0]
+        assert parted[0] <= 1.1 * serial[0] and parted[1] <= 1.1 * serial[1]
+        g = unit_grid(33)
+        assert peak(x_case.sample(g), y_case.sample(g)) <= 1024 * g.num_points
 
 
 class TestConvergenceReport:
