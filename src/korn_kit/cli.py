@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, analytic, fieldio, korn, reporting, transport
-from .errors import ConfigError, GridTooLarge, KornKitError
+from .errors import ConfigError, GridTooLarge, KornKitError, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      curl_product_discrepancy, refinement_errors)
 
@@ -109,6 +109,7 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
     if experiment in EIGENSOLVE_EXPERIMENTS:
         # the solver stack loads with the config, so a run times its solve alone
         import scipy.linalg  # noqa: F401
+        import scipy.sparse.csgraph  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
 
     return RunConfig(experiment, run_seed, run_tol, out_dir, params,
@@ -122,19 +123,39 @@ def _file_sha256(key, path) -> str:
         raise ConfigError(f"cannot read {key}: {exc}", key=key)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer proper (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """Whether value is a finite int or float (not a bool)."""
+    # comparing first keeps float() from overflowing on a huge integer
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def _grid_from_params(params) -> GridSpec:
-    shape = tuple(int(n) for n in params["shape"])
-    if not shape or min(shape) < 1:
-        raise ConfigError(f"grid shape entries must be positive, got {list(shape)}",
-                          key="shape")
+    shape = params["shape"]
+    if (not isinstance(shape, (list, tuple)) or not shape
+            or not all(_is_int(n) and n >= 1 for n in shape)):
+        raise ConfigError(f"grid shape must be a list of positive integers, got "
+                          f"{shape!r}", key="shape")
     spacing = params.get("spacing")
     if spacing is None:
         spacing = 1.0 / shape[-1]
+    elif not (_is_finite_number(spacing) and spacing > 0):
+        raise ConfigError(f"spacing must be a positive finite number, got {spacing!r}",
+                          key="spacing")
     origin = params.get("origin")
     if origin is None:
         origin = (0.0,) * len(shape)
+    elif (not isinstance(origin, (list, tuple)) or len(origin) != len(shape)
+            or not all(map(_is_finite_number, origin))):
+        raise ConfigError(f"origin must be a list of {len(shape)} finite numbers, got "
+                          f"{origin!r}", key="origin")
     try:
-        return GridSpec(shape, tuple(float(c) for c in origin), float(spacing))
+        return GridSpec(tuple(shape), tuple(map(float, origin)), float(spacing))
     except GridTooLarge:
         raise
     except (ValueError, KornKitError) as exc:
@@ -157,30 +178,49 @@ def _input_field(params, key, cls):
 
 
 def _resolve_p_field(params):
-    """Coefficient field plus its grid; a p_file brings its own grid along."""
+    """Coefficient field, its grid and its family name (None for a p_file).
+
+    A p_file brings its own grid along; a p_family is an object with the
+    family's name and only the keywords that family accepts.
+    """
     if params.get("p_file"):
         fld = _input_field(params, "p_file", MatrixField)
-        return fld, fld.grid
+        return fld, fld.grid, None
     grid = _grid_from_params(params)
-    family = dict(params.get("p_family", {"name": "identity"}))
+    family = params["p_family"]
+    if not isinstance(family, dict):
+        raise ConfigError(f"p_family must be an object with a name and the family's "
+                          f"keywords, got {family!r}", key="p_family")
+    family = dict(family)
     name = family.pop("name", "identity")
-    return korn.builtin_p_field(name, grid, **family), grid
+    try:
+        return korn.builtin_p_field(name, grid, **family), grid, name
+    except (UnknownKind, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid p_family: {exc}", key="p_family")
 
 
-def _face_from_params(params, key, grid):
-    """(axis, side) of the face that params[key] names, checked against the grid."""
+def _face_from_params(params, key, grid, keywords=("axis", "side")):
+    """(axis, side) of the face that params[key] names, checked against the grid.
+
+    The face is an object with an integer axis in 0..dim-1 and side 0 or 1,
+    and no keys besides keywords.
+    """
     spec = params[key]
-    axis, side = int(spec.get("axis", 0)), int(spec.get("side", 0))
-    if not 0 <= axis < grid.dim or side not in (0, 1):
-        raise ConfigError(f"{key} needs axis in 0..{grid.dim - 1} and side 0 or 1",
-                          key=key)
+    if not isinstance(spec, dict) or not set(spec) <= set(keywords):
+        raise ConfigError(f"{key} must be an object with keys among "
+                          f"{', '.join(keywords)}, got {spec!r}", key=key)
+    axis, side = spec.get("axis", 0), spec.get("side", 0)
+    if not (_is_int(axis) and _is_int(side) and 0 <= axis < grid.dim
+            and side in (0, 1)):
+        raise ConfigError(f"{key} needs an integer axis in 0..{grid.dim - 1} and side "
+                          f"0 or 1, got axis {axis!r}, side {side!r}", key=key)
     return axis, side
 
 
 def _non_negative_int(params, key) -> int:
     """params[key], which must be a non-negative integer (not a bool)."""
     value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"{key} must be a non-negative integer, got {value!r}",
                           key=key)
     return value
@@ -189,9 +229,7 @@ def _non_negative_int(params, key) -> int:
 def _min_det(params) -> float:
     """params["min_det"], which must be a positive finite number (not a bool)."""
     value = params["min_det"]
-    # comparing first keeps float() from overflowing on a huge integer
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
+    if not (_is_finite_number(value) and value > 0):
         raise ConfigError(f"min_det must be a positive finite number, got {value!r}",
                           key="min_det")
     return float(value)
@@ -207,7 +245,7 @@ def _gram(params, choices) -> str:
 
 
 def _korn_problem(params):
-    p_field, grid = _resolve_p_field(params)
+    p_field, grid, _ = _resolve_p_field(params)
     gamma = None
     if params["gamma"] not in (None, "none"):
         gamma = korn.face_mask(grid, *_face_from_params(params, "gamma", grid))
@@ -299,8 +337,8 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
 def _run_verify_curl(cfg: RunConfig, rng):
     params = cfg.params
     case = params["case"]
-    shape = int(params["shape"])
-    levels = int(params["levels"])
+    shape = _non_negative_int(params, "shape")
+    levels = _non_negative_int(params, "levels")
     if shape < 2:
         raise ConfigError(f"shape must be at least 2 points per axis, got {shape}",
                           key="shape")
@@ -435,11 +473,12 @@ def _run_transport_flood(cfg: RunConfig, rng):
             raise ConfigError(f"unknown domain {domain_kind!r}", key="domain")
     shape = grid.shape
 
-    axis, side = _face_from_params(params, "seed_region", grid)
-    thickness = int(params["seed_region"].get("thickness", 2))
-    if not 1 <= thickness <= shape[axis]:
-        raise ConfigError(f"seed_region thickness must lie in 1..{shape[axis]}",
-                          key="seed_region")
+    axis, side = _face_from_params(params, "seed_region", grid,
+                                   ("axis", "side", "thickness"))
+    thickness = params["seed_region"].get("thickness", 2)
+    if not (_is_int(thickness) and 1 <= thickness <= shape[axis]):
+        raise ConfigError(f"seed_region thickness must be an integer in "
+                          f"1..{shape[axis]}, got {thickness!r}", key="seed_region")
     seed_mask = np.zeros(shape, dtype=bool)
     sl = [slice(None)] * grid.dim
     sl[axis] = slice(0, thickness) if side == 0 else slice(-thickness, None)
@@ -588,7 +627,7 @@ def _run_korn_rigid(cfg: RunConfig, rng):
 
 def _run_korn_gp(cfg: RunConfig, rng):
     params = cfg.params
-    p_field, grid = _resolve_p_field(params)
+    p_field, grid, family = _resolve_p_field(params)
     tensor = korn.build_gp(p_field, min_det=_min_det(params))
     fieldio.save_field(cfg.out_dir / "gp_field.kfk", tensor)
     dets = np.linalg.det(p_field.values)
@@ -597,8 +636,7 @@ def _run_korn_gp(cfg: RunConfig, rng):
             "p_det_min": float(dets.min()), "p_det_max": float(dets.max()),
             "field_file": "gp_field.kfk"}
     passed = True
-    if params.get("p_family", {}).get("name", "identity") == "identity" \
-            and not params.get("p_file"):
+    if family == "identity":
         tol = cfg.require_positive_tol(1e-12)
         passed = tensor.max_norm() <= tol
         body["identity_check_tolerance"] = tol

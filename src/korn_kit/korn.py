@@ -42,7 +42,7 @@ _BAND_BYTES_CAP = 2 ** 32
 # relative eigenpair residual above which a solve counts as failed
 _PAIR_RESIDUAL_BOUND = 1e-8
 # DOFs up to which min_rayleigh solves densely: the measured crossover with the
-# banded shift-invert path, which wins 2.4-5.7x from 1029 DOFs (README)
+# banded shift-invert path, which wins 1.8-6x from 1029 DOFs (README)
 DENSE_CAP = 1024
 
 
@@ -258,19 +258,35 @@ def _identity_scale(m: sp.spmatrix) -> Optional[float]:
     return None
 
 
-def _band_order(form: DiscreteForm) -> np.ndarray:
-    """Point-major permutation of the free DOFs that narrows the band.
+def _half_bandwidth(a: sp.spmatrix, order: np.ndarray) -> int:
+    """Largest |i - j| over the nonzeros of a with its DOFs taken in order."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    coo = a.tocoo()
+    return int(np.max(np.abs(rank[coo.row] - rank[coo.col])))
 
-    Grid axes run longest slowest (ties keep their order, so a cube keeps
-    the natural order) and each point keeps its three components together;
-    clamped DOFs are dropped.
+
+def _band_order(form: DiscreteForm) -> np.ndarray:
+    """Permutation of the free DOFs that narrows the band of the form.
+
+    Two candidates: reverse Cuthill-McKee on the form's pattern, whose level
+    sets are the diagonal sheets of the stencil graph, and the point-major
+    order with grid axes running longest slowest (ties keep their order) and
+    each point's three components together, clamped DOFs dropped.  The one
+    with the smaller half-bandwidth wins, point-major on a tie: RCM is about
+    a quarter narrower on a cube but wider on elongated boxes.
     """
+    import scipy.sparse.csgraph as csgraph
+
     shape = form.grid.shape
     axes = sorted(range(len(shape)), key=lambda ax: -shape[ax])
     points = np.arange(form.grid.num_points).reshape(shape).transpose(axes)
     dofs = (3 * points.reshape(-1)[:, None] + np.arange(3)).reshape(-1)
     free_index = np.cumsum(form.free) - 1
-    return free_index[dofs[form.free[dofs]]]
+    point_major = free_index[dofs[form.free[dofs]]]
+    rcm = csgraph.reverse_cuthill_mckee(form.operator, symmetric_mode=True)
+    return min((point_major, rcm.astype(point_major.dtype)),
+               key=lambda order: _half_bandwidth(form.operator, order))
 
 
 def _shift_invert(a: sp.spmatrix, m: sp.spmatrix, sigma: float,
@@ -320,6 +336,28 @@ def _pair_residual(a: sp.spmatrix, m: sp.spmatrix, w: np.ndarray,
     return residual
 
 
+def _ritz_pairs(a: sp.spmatrix, m: sp.spmatrix, basis: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest Rayleigh-Ritz pairs of (a, m) on the span of basis.
+
+    The basis is made m-orthonormal first, dropping directions that its
+    columns repeat, so the columns need not be independent.
+    """
+    import scipy.linalg
+
+    g, u = scipy.linalg.eigh(basis.T @ (m @ basis))
+    kept = g > 1e-10 * g[-1]
+    q = basis @ (u[:, kept] / np.sqrt(g[kept]))
+    w, y = scipy.linalg.eigh(q.T @ (a @ q))
+    return w[:k], q @ y[:, :k]
+
+
+def _has_repeats(w: np.ndarray, threshold: float) -> bool:
+    """Whether two eigenvalues above the kernel threshold agree to 1e-8 relative."""
+    live = w[w >= threshold]
+    return bool(live.size > 1 and np.any(np.diff(live) <= 1e-8 * live[-1]))
+
+
 def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = DENSE_CAP,
                  n_eigs: int = 12) -> RayleighResult:
     """The n_eigs smallest Rayleigh quotients of the form against the chosen Gram.
@@ -328,14 +366,19 @@ def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = DENSE
     pairs; a Gram that is a multiple c I of the identity (the L2 Gram) gives
     the standard problem on the form alone, with eigenvalues divided by c.
     Above the cap, shift-and-invert Lanczos finds min(n_eigs, DOFs - 1)
-    pairs from one banded Cholesky factor of the shifted form, its DOFs
-    ordered point-major with the grid's longest axis slowest; a band too
-    large for memory raises GridTooLarge before it is allocated.  The
-    Lanczos eigenvalues are recovered as sigma + 1/theta, which is only
-    first order in the residual and worst on free problems, whose 6-fold
-    kernel sits at 1/|sigma|; so a Rayleigh-Ritz step on the returned
-    vectors V (eigh of V^T A V against V^T M V, then V y) replaces them by
-    Rayleigh quotients, as accurate as the dense solve's.
+    pairs from one banded Cholesky factor of the shifted form, its DOFs in
+    the narrower-band order of reverse Cuthill-McKee and point-major (see
+    _band_order); a band too large for memory raises GridTooLarge before it
+    is allocated.  The Lanczos eigenvalues are recovered as sigma + 1/theta,
+    which is only first order in the residual and worst on free problems,
+    whose 6-fold kernel sits at 1/|sigma|; so a Rayleigh-Ritz step on the
+    returned vectors replaces them by Rayleigh quotients, as accurate as the
+    dense solve's.  Single-vector Lanczos can miss a copy of a repeated
+    eigenvalue (a symmetric problem such as P = I on a cube has 6-fold
+    ones), so when two computed eigenvalues above the kernel threshold
+    agree, a second Lanczos run from another fixed start joins the
+    Rayleigh-Ritz step; a repeated eigenvalue of which only one copy was
+    found shows no such agreement and is not caught.
     Eigenvalues below 1e-10 * trace(form)/DOFs count as kernel; the census
     is complete only when it cannot miss kernel pairs beyond the computed
     ones.  Every pair is checked by its relative residual, and a solve whose
@@ -361,12 +404,22 @@ def min_rayleigh(form: DiscreteForm, gram: str = "l2", *, dense_cap: int = DENSE
                 w = w / scale
         else:
             sigma = -1e-6 * max(float(a.diagonal().max()), 1.0)
-            # a fixed start vector keeps ARPACK, and so the report, reproducible
-            _, v = spla.eigsh(a, k=k, M=m, sigma=sigma, which="LM", v0=np.ones(n),
-                              OPinv=_shift_invert(a, m, sigma, _band_order(form)))
-            # Rayleigh-Ritz: ascending Rayleigh quotients on span(v)
-            w, y = scipy.linalg.eigh(v.T @ (a @ v), v.T @ (m @ v))
-            v = v @ y
+            op = _shift_invert(a, m, sigma, _band_order(form))
+            # fixed start vectors keep ARPACK, and so the report, reproducible;
+            # not ones, a rigid motion, on which every free problem breaks down
+            # at once and ARPACK restarts from its own process-wide generator
+            starts = np.random.default_rng(0).standard_normal((2, n))
+            _, v = spla.eigsh(a, k=k, M=m, sigma=sigma, which="LM", v0=starts[0],
+                              OPinv=op)
+            w, v = _ritz_pairs(a, m, v, k)
+            if _has_repeats(w, threshold):
+                # one Lanczos run holds one direction per eigenspace, and the
+                # further copies of a repeated eigenvalue grow only from
+                # roundoff, so one can be missed at the end of the batch; a
+                # run from the second start adds a second direction
+                _, v2 = spla.eigsh(a, k=k, M=m, sigma=sigma, which="LM",
+                                   v0=starts[1], OPinv=op)
+                w, v = _ritz_pairs(a, m, np.column_stack([v, v2]), k)
     except GridTooLarge:  # a ValueError, but a refusal up front, not a failed solve
         raise
     except (RuntimeError, ValueError) as exc:  # arpack / lapack failures
@@ -537,13 +590,31 @@ def sym_conjugation_residual(grad_phi, grad_psi) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+# the keyword parameters of each built-in coefficient family
+_FAMILY_KEYWORDS = {
+    "identity": (),
+    "rotation-valued": ("axis", "base", "lin", "amp", "freq", "phase"),
+    "graded-roughness": ("amplitude", "frequency", "seed", "min_det"),
+}
+
+
 def builtin_p_field(name: str, grid: GridSpec, **params) -> MatrixField:
     """Built-in coefficient families: identity, rotation-valued, graded-roughness.
 
     The graded-roughness family is identity plus a seeded trigonometric
     perturbation whose wavenumber acts as the roughness knob; amplitudes are
-    kept small enough that the determinant floor stays safe.
+    kept small enough that the determinant floor stays safe.  An unknown
+    family raises UnknownKind and a keyword the family does not accept
+    raises TypeError, so a misspelt parameter never falls back to its default.
     """
+    if not isinstance(name, str) or name not in _FAMILY_KEYWORDS:
+        raise UnknownKind(f"unknown coefficient family {name!r}; the families are "
+                          f"{', '.join(_FAMILY_KEYWORDS)}")
+    accepted = _FAMILY_KEYWORDS[name]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise TypeError(f"{name} accepts {', '.join(accepted) or 'no keywords'}, "
+                        f"got {', '.join(map(repr, unknown))}")
     if name == "identity":
         return MatrixField.constant(grid, np.eye(3))
     if name == "rotation-valued":
@@ -564,7 +635,6 @@ def builtin_p_field(name: str, grid: GridSpec, **params) -> MatrixField:
         values = np.broadcast_to(np.eye(3), grid.shape + (3, 3)) + trig.value(grid.points())
         algebra.det_floor(values, min_det, "of the graded-roughness field")
         return MatrixField(grid, values)
-    raise UnknownKind(f"unknown coefficient family {name!r}")
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,78 @@ class TestExitCodes:
         assert (err["type"], err["key"]) == ("ConfigError", key)
 
 
+    @pytest.mark.parametrize("command, key, face", [
+        (["korn", "eig"], "gamma", {"axis": 0.7, "side": 0}),
+        (["korn", "eig"], "gamma", {"axis": 0, "side": True}),
+        (["korn", "eig"], "gamma", 5),
+        (["korn", "eig"], "gamma", "x0"),
+        (["korn", "probe"], "gamma", {"axis": "a"}),
+        (["korn", "probe"], "gamma", {"axis": 0, "sdie": 1}),
+        (["transport", "flood"], "seed_region", {"axis": 0.7, "side": 0}),
+        (["transport", "flood"], "seed_region", {"axis": 0, "side": True}),
+        (["transport", "flood"], "seed_region", "x0"),
+        (["transport", "flood"], "seed_region", {"axis": 0, "thickness": 2.5}),
+        (["transport", "flood"], "seed_region", {"axis": 0, "thikness": 3}),
+    ], ids=["eig-float-axis", "eig-bool-side", "eig-number", "eig-string",
+            "probe-string-axis", "probe-misspelt-key", "flood-float-axis",
+            "flood-bool-side", "flood-string", "flood-float-thickness",
+            "flood-misspelt-key"])
+    def test_face_must_be_an_object_of_integers(self, tmp_path, capsys, command, key,
+                                                face):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: face}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
+
+    @pytest.mark.parametrize("command, params, key", [
+        (["korn", "eig"], {"shape": [5.7, 5, 5]}, "shape"),
+        (["korn", "eig"], {"shape": "abc"}, "shape"),
+        (["korn", "eig"], {"shape": 5}, "shape"),
+        (["korn", "eig"], {"shape": [5, True, 5]}, "shape"),
+        (["transport", "flood"], {"shape": [9.0, 9, 9]}, "shape"),
+        (["korn", "eig"], {"spacing": "x"}, "spacing"),
+        (["korn", "eig"], {"spacing": -1}, "spacing"),
+        (["korn", "probe"], {"spacing": float("inf")}, "spacing"),
+        (["korn", "gp"], {"origin": [0.0, 0.0]}, "origin"),
+        (["korn", "rigid"], {"origin": "x"}, "origin"),
+        (["verify-curl"], {"shape": 9.5}, "shape"),
+        (["verify-curl"], {"shape": "9"}, "shape"),
+        (["verify-curl"], {"levels": 1.5}, "levels"),
+    ], ids=["eig-float-entry", "eig-string", "eig-scalar", "eig-bool-entry",
+            "flood-float-entry", "eig-string-spacing", "eig-negative-spacing",
+            "probe-inf-spacing", "gp-short-origin", "rigid-string-origin",
+            "curl-float-shape", "curl-string-shape", "curl-float-levels"])
+    def test_grid_keys_name_their_key(self, tmp_path, capsys, command, params, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
+
+    @pytest.mark.parametrize("command", [["korn", "eig"], ["korn", "probe"],
+                                         ["korn", "gp"]])
+    @pytest.mark.parametrize("family, accepted", [
+        ({"name": "graded-roughness", "bogus": 1}, "amplitude, frequency"),
+        ({"name": "graded-roughness", "frequncy": 2.0}, "amplitude, frequency"),
+        ({"name": "identity", "amplitude": 0.1}, "no keywords"),
+        ({"name": "sobolev"}, "graded-roughness"),
+        ("graded-roughness", "object"),
+    ], ids=["bogus-keyword", "misspelt-frequency", "identity-keyword",
+            "unknown-name", "not-an-object"])
+    def test_p_family_typos_are_refused(self, tmp_path, capsys, command, family,
+                                        accepted):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_family": family}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "p_family")
+        assert accepted in err["message"]
+
+
 class TestReports:
     def test_reports_embed_hash_seed_tolerance(self, tmp_path):
         assert run_cli(["transport", "counterexample", "--out", str(tmp_path),

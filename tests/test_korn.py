@@ -298,6 +298,65 @@ class TestEigensolvePaths:
         natural = self.bandwidth(form, np.arange(form.n_dofs))
         assert 3 * self.bandwidth(form, _band_order(form)) < natural
 
+    @staticmethod
+    def point_major(form):
+        """Free DOFs point by point, the grid's longest axis slowest."""
+        shape = form.grid.shape
+        axes = sorted(range(3), key=lambda ax: -shape[ax])
+        points = np.arange(form.grid.num_points).reshape(shape).transpose(axes)
+        dofs = (3 * points.reshape(-1)[:, None] + np.arange(3)).reshape(-1)
+        return (np.cumsum(form.free) - 1)[dofs[form.free[dofs]]]
+
+    @pytest.mark.parametrize("shape", [(5, 5, 5), (5, 7, 9), (5, 5, 17), (9, 9, 9)])
+    @pytest.mark.parametrize("clamped", [True, False])
+    def test_band_order_is_no_wider_than_point_major(self, shape, clamped):
+        g = GridSpec(shape, (0.0,) * 3, 0.25)
+        p = builtin_p_field("graded-roughness", g, seed=1, frequency=2.0)
+        form = assemble_form(KornProblem(g, p, face_mask(g, 0, 0) if clamped else None))
+        assert (self.bandwidth(form, _band_order(form))
+                <= self.bandwidth(form, self.point_major(form)))
+
+    def test_band_order_narrows_a_cube_by_a_quarter(self):
+        g = unit_cell_grid(13)
+        p = builtin_p_field("graded-roughness", g, seed=1, frequency=2.0)
+        form = assemble_form(KornProblem(g, p, face_mask(g, 0, 0)))
+        chosen = self.bandwidth(form, _band_order(form))
+        assert chosen <= 0.75 * self.bandwidth(form, self.point_major(form))
+
+    def test_sparse_matches_dense_on_free_9_cubed(self):
+        g = unit_cell_grid(9)
+        form = assemble_form(KornProblem(g, identity_p(g), None))
+        # the order differs from point-major here, so this covers the other candidate
+        assert (self.bandwidth(form, _band_order(form))
+                < self.bandwidth(form, self.point_major(form)))
+        for gram in ("l2", "h1"):
+            dense = min_rayleigh(form, gram, dense_cap=form.n_dofs)
+            sparse = min_rayleigh(form, gram, dense_cap=0)
+            assert dense.dense and not sparse.dense
+            assert sparse.kernel_dim == dense.kernel_dim == 6
+            # relative to the largest eigenvalue: the kernel pairs are roundoff
+            gap = np.max(np.abs(sparse.eigenvalues - dense.eigenvalues))
+            assert gap <= 1e-8 * np.max(np.abs(dense.eigenvalues)), gram
+
+    @pytest.mark.parametrize("gram", ["l2", "h1"])
+    def test_sparse_finds_every_copy_of_repeated_eigenvalues(self, gram):
+        # P = I on a free cube: a 6-fold kernel, then 6-fold eigenvalues
+        g = unit_cell_grid(8)
+        form = assemble_form(KornProblem(g, identity_p(g), None))
+        dense = min_rayleigh(form, gram, dense_cap=form.n_dofs)
+        assert np.sum(np.isclose(dense.eigenvalues, dense.eigenvalues[-1])) > 1
+        sparse = min_rayleigh(form, gram, dense_cap=0)
+        gap = np.max(np.abs(sparse.eigenvalues - dense.eigenvalues))
+        assert gap <= 1e-10 * np.max(np.abs(dense.eigenvalues))
+
+    def test_ritz_pairs_drop_repeated_directions(self):
+        form = self.forms()["clamped"]
+        a, m = form.operator, form.gram("h1")
+        w, v = scipy.linalg.eigh(a.toarray(), m.toarray(), subset_by_index=(0, 11))
+        rw, rv = korn._ritz_pairs(a, m, np.column_stack([v, 2.0 * v[:, :6]]), 12)
+        assert np.allclose(rw, w, rtol=1e-12, atol=0.0)
+        assert _pair_residual(a, m, rw, rv) <= 1e-12
+
     def test_oversized_band_is_refused_before_the_factor(self, monkeypatch):
         g = unit_cell_grid(7)
         form = assemble_form(KornProblem(g, identity_p(g), face_mask(g, 0, 0)))
@@ -577,6 +636,15 @@ class TestPFamilies:
     def test_unknown_family(self):
         with pytest.raises(UnknownKind):
             builtin_p_field("sobolev", unit_cell_grid())
+
+    @pytest.mark.parametrize("name, params", [
+        ("identity", {"amplitude": 0.1}),
+        ("graded-roughness", {"frequncy": 2.0}),
+        ("rotation-valued", {"amplitude": 0.1}),
+    ])
+    def test_unknown_keyword_is_refused(self, name, params):
+        with pytest.raises(TypeError, match="accepts"):
+            builtin_p_field(name, unit_cell_grid(), **params)
 
 
 class TestRoughnessSweep:

@@ -102,7 +102,8 @@ def test_cli_import_loads_every_layer_and_no_scipy():
 @pytest.mark.parametrize("experiment", ["korn-eig", "korn-probe"])
 def test_eigensolve_config_loads_the_solver_stack(experiment):
     loaded = loaded_after(f"from korn_kit import cli\ncli.load_config({experiment!r}, None)")
-    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(loaded["scipy"])
+    assert {"scipy.linalg", "scipy.sparse.csgraph",
+            "scipy.sparse.linalg"} <= set(loaded["scipy"])
 
 
 def test_flood_and_curl_runs_load_no_scipy(tmp_path):
