@@ -39,27 +39,19 @@ EIGENSOLVE_EXPERIMENTS = {"korn-eig", "korn-probe"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of a single experiment run."""
+    """Parameters of a single experiment run, each checked when it is read."""
 
     experiment: str
     seed: int
-    tol: float | None
+    tol: float | None  # positive, or None for each verdict's own default
     out_dir: Path
-    params: dict
+    params: dict  # the document's values as given, over the table's defaults
     sha256: str
 
-    def require_positive_tol(self, default: float) -> float:
-        tol = default if self.tol is None else self.tol
-        if tol <= 0:
-            raise ConfigError("tolerance must be positive", key="tol")
-        return tol
-
-
-def _experiment_defaults(experiment: str) -> dict:
-    try:
-        return dict(_EXPERIMENTS[experiment][0])
-    except KeyError:
-        raise ConfigError(f"unknown experiment {experiment!r}", key="experiment")
+    def __getitem__(self, key):
+        """params[key], checked and converted by its kind in the experiment's table."""
+        kind = _EXPERIMENTS[self.experiment][0][key][1]
+        return kind(key, self.params[key])
 
 
 def load_config(experiment: str, config_path, *, seed=None, tol=None,
@@ -79,23 +71,20 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
     if schema != SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}, expected {SCHEMA!r}",
                           key="schema")
-    defaults = _experiment_defaults(experiment)
-    params = dict(defaults)
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}", key="experiment")
+    table = _EXPERIMENTS[experiment][0]
+    params = {key: default for key, (default, _) in table.items()}
     for key, value in document.items():
         if key in RESERVED_KEYS:
             continue
-        if key not in defaults:
+        if key not in table:
             raise ConfigError(f"unknown config key {key!r} for {experiment}", key=key)
         params[key] = value
 
-    run_seed = seed if seed is not None else document.get("seed", 0)
-    if not isinstance(run_seed, int) or run_seed < 0:
-        raise ConfigError("seed must be a non-negative integer", key="seed")
-    run_tol = tol if tol is not None else document.get("tol")
-    if run_tol is not None:
-        run_tol = float(run_tol)
-        if run_tol <= 0:
-            raise ConfigError("tolerance must be positive", key="tol")
+    run_seed = _int_at_least(0)(
+        "seed", document.get("seed", 0) if seed is None else seed)
+    run_tol = _optional(_positive)("tol", document.get("tol") if tol is None else tol)
     out_dir = Path(out if out is not None else document.get("out", "korn-kit-out"))
 
     effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
@@ -123,8 +112,12 @@ def _file_sha256(key, path) -> str:
         raise ConfigError(f"cannot read {key}: {exc}", key=key)
 
 
+# ---------------------------------------------------------------------------
+# kinds: a kind turns a config value into the typed value a run reads, or
+# raises a ConfigError that names the key.  A bool is never a number.
+
+
 def _is_int(value) -> bool:
-    """Whether value is an integer proper (a bool is not one)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -135,39 +128,98 @@ def _is_finite_number(value) -> bool:
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
-def _grid_from_params(params) -> GridSpec:
-    shape = params["shape"]
-    if (not isinstance(shape, (list, tuple)) or not shape
-            or not all(_is_int(n) and n >= 1 for n in shape)):
-        raise ConfigError(f"grid shape must be a list of positive integers, got "
-                          f"{shape!r}", key="shape")
-    spacing = params.get("spacing")
-    if spacing is None:
-        spacing = 1.0 / shape[-1]
-    elif not (_is_finite_number(spacing) and spacing > 0):
-        raise ConfigError(f"spacing must be a positive finite number, got {spacing!r}",
-                          key="spacing")
-    origin = params.get("origin")
-    if origin is None:
-        origin = (0.0,) * len(shape)
-    elif (not isinstance(origin, (list, tuple)) or len(origin) != len(shape)
-            or not all(map(_is_finite_number, origin))):
+def _kind(wanted, accept, convert=lambda value: value):
+    """A kind: convert(value) if accept(value), else a ConfigError naming key."""
+    def kind(key, value):
+        if not accept(value):
+            raise ConfigError(f"{key} must be {wanted}, got {value!r}", key=key)
+        return convert(value)
+    return kind
+
+
+def _int_at_least(low):
+    return _kind(f"an integer >= {low}", lambda v: _is_int(v) and v >= low)
+
+
+def _real(wanted, accept=lambda v: True):
+    return _kind(wanted, lambda v: _is_finite_number(v) and accept(v), float)
+
+
+def _choice(*names):
+    return _kind(f"one of {', '.join(names)}", lambda v: v in names)
+
+
+def _optional(kind):
+    return lambda key, value: None if value is None else kind(key, value)
+
+
+def _face(**defaults):
+    """Kind of a face object: an axis, a side (0 near, 1 far) and the other
+    keys of defaults, all non-negative integers, given in the order of defaults."""
+    return _kind(f"an object of non-negative integers {', '.join(defaults)} with "
+                 f"side 0 or 1",
+                 lambda v: (isinstance(v, dict) and set(v) <= set(defaults)
+                            and all(_is_int(n) and n >= 0 for n in v.values())
+                            and v.get("side", defaults["side"]) in (0, 1)),
+                 lambda v: tuple({**defaults, **v}.values()))
+
+
+_finite = _real("a finite number")
+_positive = _real("a positive finite number", lambda v: v > 0)
+_finite_list = _kind("a list of finite numbers",
+                     lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
+                     lambda v: [float(n) for n in v])
+_shape = _kind("a list of positive integers",
+               lambda v: isinstance(v, list) and v and all(
+                   _is_int(n) and n >= 1 for n in v), tuple)
+_path = _kind("a file path", lambda v: isinstance(v, str) and v)
+# (name, keywords); builtin_p_field checks both against the families
+_p_family = _kind("an object with a name and the family's keywords",
+                  lambda v: isinstance(v, dict),
+                  lambda v: (v.get("name", "identity"),
+                             {k: n for k, n in v.items() if k != "name"}))
+_clamped_face = _face(axis=0, side=0)
+
+
+def _gamma(key, value):
+    """None for the problem with no clamped patch, else the clamped face."""
+    return None if value in (None, "none") else _clamped_face(key, value)
+
+
+# ---------------------------------------------------------------------------
+# what several experiments read, with the checks across keys
+
+
+def _grid(cfg: RunConfig) -> GridSpec:
+    shape, spacing, origin = cfg["shape"], cfg["spacing"], cfg["origin"]
+    if origin is not None and len(origin) != len(shape):
         raise ConfigError(f"origin must be a list of {len(shape)} finite numbers, got "
-                          f"{origin!r}", key="origin")
+                          f"{cfg.params['origin']!r}", key="origin")
     try:
-        return GridSpec(tuple(shape), tuple(map(float, origin)), float(spacing))
+        return GridSpec(shape, tuple(origin or (0.0,) * len(shape)),
+                        1.0 / shape[-1] if spacing is None else spacing)
     except GridTooLarge:
         raise
     except (ValueError, KornKitError) as exc:
         raise ConfigError(f"invalid grid parameters: {exc}", key="shape")
 
 
-def _input_field(params, key, cls):
-    """The field that the file params[key] holds, which must be a cls."""
-    if not params.get(key):
+def _face_on(cfg: RunConfig, key, grid):
+    """The face that cfg[key] names, whose axis must be one of the grid's."""
+    face = cfg[key]
+    if face is not None and face[0] >= grid.dim:
+        raise ConfigError(f"{key} needs an axis in 0..{grid.dim - 1}, got {face[0]}",
+                          key=key)
+    return face
+
+
+def _input_field(cfg: RunConfig, key, cls):
+    """The field that the file cfg[key] holds, which must be a cls."""
+    path = cfg[key]
+    if path is None:
         raise ConfigError(f"{key} must name a field file", key=key)
     try:
-        fld = fieldio.load_field(params[key])
+        fld = fieldio.load_field(path)
     except GridTooLarge:
         raise
     except (ValueError, KornKitError) as exc:
@@ -177,79 +229,27 @@ def _input_field(params, key, cls):
     return fld
 
 
-def _resolve_p_field(params):
+def _p_field(cfg: RunConfig):
     """Coefficient field, its grid and its family name (None for a p_file).
 
-    A p_file brings its own grid along; a p_family is an object with the
-    family's name and only the keywords that family accepts.
+    A p_file brings its own grid along, so the grid keys beside it go unread.
     """
-    if params.get("p_file"):
-        fld = _input_field(params, "p_file", MatrixField)
+    if cfg["p_file"] is not None:
+        fld = _input_field(cfg, "p_file", MatrixField)
         return fld, fld.grid, None
-    grid = _grid_from_params(params)
-    family = params["p_family"]
-    if not isinstance(family, dict):
-        raise ConfigError(f"p_family must be an object with a name and the family's "
-                          f"keywords, got {family!r}", key="p_family")
-    family = dict(family)
-    name = family.pop("name", "identity")
+    grid = _grid(cfg)
+    name, keywords = cfg["p_family"]
     try:
-        return korn.builtin_p_field(name, grid, **family), grid, name
+        return korn.builtin_p_field(name, grid, **keywords), grid, name
     except (UnknownKind, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid p_family: {exc}", key="p_family")
 
 
-def _face_from_params(params, key, grid, keywords=("axis", "side")):
-    """(axis, side) of the face that params[key] names, checked against the grid.
-
-    The face is an object with an integer axis in 0..dim-1 and side 0 or 1,
-    and no keys besides keywords.
-    """
-    spec = params[key]
-    if not isinstance(spec, dict) or not set(spec) <= set(keywords):
-        raise ConfigError(f"{key} must be an object with keys among "
-                          f"{', '.join(keywords)}, got {spec!r}", key=key)
-    axis, side = spec.get("axis", 0), spec.get("side", 0)
-    if not (_is_int(axis) and _is_int(side) and 0 <= axis < grid.dim
-            and side in (0, 1)):
-        raise ConfigError(f"{key} needs an integer axis in 0..{grid.dim - 1} and side "
-                          f"0 or 1, got axis {axis!r}, side {side!r}", key=key)
-    return axis, side
-
-
-def _non_negative_int(params, key) -> int:
-    """params[key], which must be a non-negative integer (not a bool)."""
-    value = params[key]
-    if not _is_int(value) or value < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}",
-                          key=key)
-    return value
-
-
-def _min_det(params) -> float:
-    """params["min_det"], which must be a positive finite number (not a bool)."""
-    value = params["min_det"]
-    if not (_is_finite_number(value) and value > 0):
-        raise ConfigError(f"min_det must be a positive finite number, got {value!r}",
-                          key="min_det")
-    return float(value)
-
-
-def _gram(params, choices) -> str:
-    """params["gram"], which must be one of choices."""
-    gram = params["gram"]
-    if gram not in choices:
-        raise ConfigError(f"gram must be one of {', '.join(choices)}, got {gram!r}",
-                          key="gram")
-    return gram
-
-
-def _korn_problem(params):
-    p_field, grid, _ = _resolve_p_field(params)
-    gamma = None
-    if params["gamma"] not in (None, "none"):
-        gamma = korn.face_mask(grid, *_face_from_params(params, "gamma", grid))
-    return korn.KornProblem(grid, p_field, gamma, min_det=_min_det(params))
+def _korn_problem(cfg: RunConfig):
+    p_field, grid, _ = _p_field(cfg)
+    face = _face_on(cfg, "gamma", grid)
+    gamma = None if face is None else korn.face_mask(grid, *face)
+    return korn.KornProblem(grid, p_field, gamma, min_det=cfg["min_det"])
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +257,6 @@ def _korn_problem(params):
 
 
 def _run_algebra_selftest(cfg: RunConfig, rng):
-    tol_det = cfg.params["tol_det"]
-    tol_skew = cfg.params["tol_skew"]
     checks = []
 
     def record(name, samples, worst, tolerance):
@@ -299,7 +297,7 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
     det_y = np.linalg.det(ys)
     scale = np.maximum(1.0, np.abs(det_y) ** 3)
     worst = np.max(np.abs(det_l + 2.0 * det_y ** 3) / scale)
-    record("l_determinant_identity", 1000, worst, tol_det)
+    record("l_determinant_identity", 1000, worst, cfg["tol_det"])
 
     worst = 0.0
     for _ in range(100):
@@ -316,7 +314,7 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
         special = algebra.curl_product_skew_pointwise(
             grad_axl, algebra.SkewMat3(zeta), y, curl_y)
         worst = max(worst, float(np.max(np.abs(general - special))))
-    record("skew_specialization", 100, worst, tol_skew)
+    record("skew_specialization", 100, worst, cfg["tol_skew"])
 
     worst = 0.0
     for _ in range(20):
@@ -335,35 +333,22 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
 
 
 def _run_verify_curl(cfg: RunConfig, rng):
-    params = cfg.params
-    case = params["case"]
-    shape = _non_negative_int(params, "shape")
-    levels = _non_negative_int(params, "levels")
-    if shape < 2:
-        raise ConfigError(f"shape must be at least 2 points per axis, got {shape}",
-                          key="shape")
-    if levels < 1:
-        raise ConfigError(f"levels must be at least 1, got {levels}", key="levels")
+    case, shape, levels = cfg["case"], cfg["shape"], cfg["levels"]
     base = GridSpec((shape,) * 3, (0.0,) * 3, 1.0 / (shape - 1))
     seed = cfg.seed
 
     if case == "quadratic":
         x_case = analytic.random_polynomial_matrix(seed, per_axis_degree=1)
         y_case = analytic.random_polynomial_matrix(seed + 1, per_axis_degree=1)
-    elif case == "trigonometric":
+    else:
         if levels < 2:
             raise ConfigError("trigonometric case needs levels >= 2 to measure "
                               "a convergence order", key="levels")
-        wavenumber = float(params["wavenumber"])
-        if not (np.isfinite(wavenumber) and wavenumber > 0):
-            # a zero wavenumber samples constant fields: every error is 0.0
-            # and the measured order is inf, which would pass vacuously
-            raise ConfigError(f"wavenumber must be positive and finite, got {wavenumber}",
-                              key="wavenumber")
+        # positive: a zero wavenumber samples constant fields, whose errors
+        # are all 0.0, and the measured order inf would pass vacuously
+        wavenumber = cfg["wavenumber"]
         x_case = analytic.random_trig_matrix(seed, wavenumber=wavenumber)
         y_case = analytic.random_trig_matrix(seed + 1, wavenumber=wavenumber)
-    else:
-        raise ConfigError(f"unknown case {case!r}", key="case")
 
     def error_at(grid):
         return curl_product_discrepancy(analytic.LazyMatrixSample(x_case, grid),
@@ -376,11 +361,11 @@ def _run_verify_curl(cfg: RunConfig, rng):
     rows[0].append("")
 
     if case == "quadratic":
-        tol = cfg.require_positive_tol(1e-9)
+        tol = cfg.tol or 1e-9
         passed = max(report.max_errors) <= tol
         verdict = {"max_error": max(report.max_errors), "tolerance": tol}
     else:
-        min_order = float(params["min_order"])
+        min_order = cfg["min_order"]
         passed = report.min_order >= min_order
         verdict = {"observed_order": report.min_order, "required_order": min_order}
 
@@ -399,37 +384,39 @@ def _exponential_case(grid):
 
 
 def _run_transport_propagate(cfg: RunConfig, rng):
-    params = cfg.params
-    case = params["case"]
-    steps = int(params["steps"])
+    case, steps = cfg["case"], cfg["steps"]
 
     if case == "files":
-        coef = _input_field(params, "g_file", CoefficientTensorField)
-        face = _input_field(params, "face_file", VectorField)
+        coef = _input_field(cfg, "g_file", CoefficientTensorField)
+        face = _input_field(cfg, "face_file", VectorField)
         grid = coef.grid
-        residual_tol = cfg.require_positive_tol(1e-6)
+        residual_tol = cfg.tol or 1e-6
         exact = None
     else:
-        grid = _grid_from_params(params)
+        grid = _grid(cfg)
         if case == "exponential":
             coef = _exponential_case(grid)
-            value = np.asarray(params["face_value"], dtype=float)
+            value = np.asarray(cfg["face_value"])
+            if value.shape != (grid.dim,) or not value.any():
+                # a zero face value makes the exact solution and the default
+                # tolerance zero, so every check would pass vacuously
+                raise ConfigError(f"face_value must be {grid.dim} numbers, not all "
+                                  f"zero, got {cfg.params['face_value']!r}",
+                                  key="face_value")
             face = VectorField(grid.face(-1),
                                np.broadcast_to(value, grid.face(-1).shape
                                                + (grid.dim,)).copy())
             pts = grid.points()
             exact = np.exp(pts[..., -1] - grid.origin[-1])[..., None] * value
-            residual_tol = cfg.require_positive_tol(
-                10.0 * grid.spacing ** 2 * float(np.max(np.abs(exact))))
-        elif case == "zero":
-            scale = float(params["coefficient_scale"])
+            residual_tol = cfg.tol or \
+                10.0 * grid.spacing ** 2 * float(np.max(np.abs(exact)))
+        else:
+            scale = cfg["coefficient_scale"]
             vals = scale * rng.uniform(-1.0, 1.0, grid.shape + (grid.dim,) * 3)
             coef = CoefficientTensorField(grid, vals)
             face = VectorField.zeros(grid.face(-1), grid.dim)
             exact = np.zeros(grid.shape + (grid.dim,))
-            residual_tol = cfg.require_positive_tol(1e-10)
-        else:
-            raise ConfigError(f"unknown case {case!r}", key="case")
+            residual_tol = cfg.tol or 1e-10
 
     zeta = transport.propagate_cube(coef, face, steps)
     residual = transport.system_residual(zeta, coef, residual_tol)
@@ -447,11 +434,8 @@ def _run_transport_propagate(cfg: RunConfig, rng):
 
 
 def _run_transport_flood(cfg: RunConfig, rng):
-    params = cfg.params
-    domain_kind = params["domain"]
-
-    if params.get("mask_file"):
-        mask_field = _input_field(params, "mask_file", VectorField)
+    if cfg["mask_file"] is not None:
+        mask_field = _input_field(cfg, "mask_file", VectorField)
         if mask_field.components != 1:
             raise ConfigError("mask_file must hold a one-component field",
                               key="mask_file")
@@ -459,24 +443,21 @@ def _run_transport_flood(cfg: RunConfig, rng):
         domain = mask_field.values[..., 0] > 0.5
         domain_kind = "mask_file"
     else:
-        grid = _grid_from_params(params)
+        grid = _grid(cfg)
+        domain_kind = cfg["domain"]
         if domain_kind == "cuboid":
             domain = np.ones(grid.shape, dtype=bool)
-        elif domain_kind == "l-shape":
-            arm = int(params["arm"])
+        else:
+            arm = cfg["arm"]
             if not 2 < arm < min(grid.shape[0], grid.shape[1]):
                 raise ConfigError("arm must fit inside the first two axes", key="arm")
             domain = np.zeros(grid.shape, dtype=bool)
-            domain[:, :arm, :] = True
-            domain[:arm, :, :] = True
-        else:
-            raise ConfigError(f"unknown domain {domain_kind!r}", key="domain")
+            domain[:, :arm] = True
+            domain[:arm] = True
     shape = grid.shape
 
-    axis, side = _face_from_params(params, "seed_region", grid,
-                                   ("axis", "side", "thickness"))
-    thickness = params["seed_region"].get("thickness", 2)
-    if not (_is_int(thickness) and 1 <= thickness <= shape[axis]):
+    axis, side, thickness = _face_on(cfg, "seed_region", grid)
+    if not 1 <= thickness <= shape[axis]:
         raise ConfigError(f"seed_region thickness must be an integer in "
                           f"1..{shape[axis]}, got {thickness!r}", key="seed_region")
     seed_mask = np.zeros(shape, dtype=bool)
@@ -485,15 +466,15 @@ def _run_transport_flood(cfg: RunConfig, rng):
     seed_mask[tuple(sl)] = True
     seed_mask &= domain
 
-    scale = float(params["coefficient_scale"])
+    scale = cfg["coefficient_scale"]
     if scale == 0.0:
         coef = CoefficientTensorField.zeros(grid)
     else:
         vals = scale * rng.uniform(-1.0, 1.0, shape + (grid.dim,) * 3)
         coef = CoefficientTensorField(grid, vals)
 
-    if params.get("zeta_file"):
-        zeta = _input_field(params, "zeta_file", VectorField)
+    if cfg["zeta_file"] is not None:
+        zeta = _input_field(cfg, "zeta_file", VectorField)
     else:
         zeta = VectorField.zeros(grid, grid.dim)
 
@@ -509,9 +490,7 @@ def _run_transport_flood(cfg: RunConfig, rng):
 
 
 def _run_transport_counterexample(cfg: RunConfig, rng):
-    params = cfg.params
-    report = transport.counterexample_demo(float(params["epsilon"]),
-                                           int(params["steps"]))
+    report = transport.counterexample_demo(cfg["epsilon"], cfg["steps"])
     rows = [
         ["identity_residual", report.identity_residual_max, 1e-12],
         ["full_integral_divergent", float(report.full_divergent), 1.0],
@@ -522,13 +501,11 @@ def _run_transport_counterexample(cfg: RunConfig, rng):
 
 
 def _run_korn_eig(cfg: RunConfig, rng):
-    params = cfg.params
-    dense_cap = _non_negative_int(params, "dense_cap")
-    gram = _gram(params, ("l2", "h1", "both"))
-    problem = _korn_problem(params)
+    dense_cap, gram = cfg["dense_cap"], cfg["gram"]
+    problem = _korn_problem(cfg)
     gamma = problem.gamma_mask
     # only a free problem reads the expected kernel dimension
-    expected = _non_negative_int(params, "expect_kernel_dim") if gamma is None else None
+    expected = cfg["expect_kernel_dim"] if gamma is None else None
     form = korn.assemble_form(problem)
     grams = ["l2", "h1"] if gram == "both" else [gram]
     results = {g: korn.min_rayleigh(form, g, dense_cap=dense_cap) for g in grams}
@@ -540,7 +517,7 @@ def _run_korn_eig(cfg: RunConfig, rng):
     # a kernel census that may have missed kernel pairs proves nothing
     passed = passed and all(r.census_complete for r in results.values())
 
-    body = {"gamma": "none" if gamma is None else params.get("gamma"),
+    body = {"gamma": "none" if gamma is None else cfg.params["gamma"],
             "n_dofs": form.n_dofs,
             "results": {g: {"lambda_min": r.lambda_min, "kernel_dim": r.kernel_dim,
                             "kernel_threshold": r.kernel_threshold,
@@ -556,10 +533,8 @@ def _run_korn_eig(cfg: RunConfig, rng):
 
 
 def _run_korn_probe(cfg: RunConfig, rng):
-    params = cfg.params
-    dense_cap = _non_negative_int(params, "dense_cap")
-    gram = _gram(params, ("l2", "h1"))
-    problem = _korn_problem(params)
+    dense_cap, gram = cfg["dense_cap"], cfg["gram"]
+    problem = _korn_problem(cfg)
     gamma = problem.gamma_mask
     probe = korn.norm_property_probe(problem, gram, dense_cap=dense_cap)
     if gamma is None:
@@ -567,7 +542,7 @@ def _run_korn_probe(cfg: RunConfig, rng):
     else:
         passed = not probe.kernel_found
     # the kernel field itself is bulky; the report keeps the numbers only
-    body = {"gamma": "none" if gamma is None else params.get("gamma"),
+    body = {"gamma": "none" if gamma is None else cfg.params["gamma"],
             "lambda_min": probe.lambda_min,
             "kernel_threshold": probe.kernel_threshold,
             "kernel_dim": probe.kernel_dim,
@@ -585,34 +560,31 @@ def _run_korn_probe(cfg: RunConfig, rng):
 
 
 def _run_korn_rigid(cfg: RunConfig, rng):
-    params = cfg.params
-    case = params["case"]
+    case = cfg["case"]
     if case == "files":
-        phi = _input_field(params, "phi_file", VectorField)
-        psi = _input_field(params, "psi_file", VectorField)
-        tol = cfg.require_positive_tol(1e-6)
+        phi = _input_field(cfg, "phi_file", VectorField)
+        psi = _input_field(cfg, "psi_file", VectorField)
+        tol = cfg.tol or 1e-6
         true_axial = None
     else:
-        grid = _grid_from_params(params)
+        grid = _grid(cfg)
         pts = grid.points()
         omega = rng.uniform(-1.0, 1.0, 3)
         shift = rng.uniform(-1.0, 1.0, 3)
         if case == "affine":
             psi_vals = pts
-            tol = cfg.require_positive_tol(1e-12)
-        elif case == "curvilinear":
+            tol = cfg.tol or 1e-12
+        else:
             psi_vals = pts.copy()
             psi_vals[..., 2] += 0.25 * pts[..., 0] ** 2
-            tol = cfg.require_positive_tol(1e-6)
-        else:
-            raise ConfigError(f"unknown case {case!r}", key="case")
+            tol = cfg.tol or 1e-6
         rot = algebra.smat(omega)
         phi_vals = np.einsum("ij,...j->...i", rot, psi_vals) + shift
         phi = VectorField(grid, phi_vals)
         psi = VectorField(grid, psi_vals)
         true_axial = omega
 
-    recovery = korn.rigid_recover(phi, psi, min_det=_min_det(params))
+    recovery = korn.rigid_recover(phi, psi, min_det=cfg["min_det"])
     body = {"case": case, "recovery": recovery}
     passed = recovery.reconstruction_residual <= tol
     if true_axial is not None:
@@ -626,9 +598,8 @@ def _run_korn_rigid(cfg: RunConfig, rng):
 
 
 def _run_korn_gp(cfg: RunConfig, rng):
-    params = cfg.params
-    p_field, grid, family = _resolve_p_field(params)
-    tensor = korn.build_gp(p_field, min_det=_min_det(params))
+    p_field, grid, family = _p_field(cfg)
+    tensor = korn.build_gp(p_field, min_det=cfg["min_det"])
     fieldio.save_field(cfg.out_dir / "gp_field.kfk", tensor)
     dets = np.linalg.det(p_field.values)
     body = {"grid": {"shape": grid.shape, "spacing": grid.spacing},
@@ -637,46 +608,61 @@ def _run_korn_gp(cfg: RunConfig, rng):
             "field_file": "gp_field.kfk"}
     passed = True
     if family == "identity":
-        tol = cfg.require_positive_tol(1e-12)
+        tol = cfg.tol or 1e-12
         passed = tensor.max_norm() <= tol
         body["identity_check_tolerance"] = tol
     return passed, body, {}
 
 
+# each experiment's parameter table, key -> (default, kind), and its handler;
+# a handler reads a key as cfg[key], so a key a run does not read goes unchecked
+_GRID = {"shape": ([17, 17, 17], _shape), "spacing": (None, _optional(_positive)),
+         "origin": (None, _optional(_finite_list))}
+_P_FIELD = {"p_family": ({"name": "identity"}, _p_family),
+            "p_file": (None, _optional(_path)), "min_det": (1e-12, _positive)}
+_KORN_SOLVE = {**_GRID, **_P_FIELD, "shape": ([5, 5, 5], _shape),
+               "spacing": (0.2, _optional(_positive)),
+               "gamma": ({"axis": 0, "side": 0}, _gamma),
+               "dense_cap": (korn.DENSE_CAP, _int_at_least(0))}
+
 _EXPERIMENTS = {
-    "algebra-selftest": ({"tol_det": 1e-10, "tol_skew": 1e-13},
-                         _run_algebra_selftest),
-    "verify-curl": ({"case": "quadratic", "shape": 17, "levels": 1,
-                     "min_order": 1.9, "wavenumber": 2.0}, _run_verify_curl),
-    "transport-propagate": ({"case": "exponential", "shape": [17, 17, 17],
-                             "spacing": None, "origin": None, "steps": 200,
-                             "face_value": [1.0, 0.5, -0.25],
-                             "coefficient_scale": 1.0,
-                             "g_file": None, "face_file": None},
+    "algebra-selftest": ({"tol_det": (1e-10, _positive),
+                          "tol_skew": (1e-13, _positive)}, _run_algebra_selftest),
+    "verify-curl": ({"case": ("quadratic", _choice("quadratic", "trigonometric")),
+                     "shape": (17, _int_at_least(2)), "levels": (1, _int_at_least(1)),
+                     "min_order": (1.9, _finite), "wavenumber": (2.0, _positive)},
+                    _run_verify_curl),
+    "transport-propagate": ({"case": ("exponential",
+                                      _choice("exponential", "zero", "files")),
+                             **_GRID, "steps": (200, _int_at_least(1)),
+                             "face_value": ([1.0, 0.5, -0.25], _finite_list),
+                             "coefficient_scale": (1.0, _finite),
+                             "g_file": (None, _optional(_path)),
+                             "face_file": (None, _optional(_path))},
                             _run_transport_propagate),
-    "transport-flood": ({"domain": "cuboid", "shape": [17, 17, 17],
-                         "spacing": None, "origin": None, "arm": 8,
-                         "seed_region": {"axis": 0, "side": 0, "thickness": 2},
-                         "coefficient_scale": 1.0, "steps": 200,
-                         "zeta_file": None, "mask_file": None},
+    # steps is accepted and never read: cuboids are checked, not propagated
+    "transport-flood": ({"domain": ("cuboid", _choice("cuboid", "l-shape")), **_GRID,
+                         "arm": (8, _int_at_least(1)),
+                         "seed_region": ({"axis": 0, "side": 0, "thickness": 2},
+                                         _face(axis=0, side=0, thickness=2)),
+                         "coefficient_scale": (1.0, _finite),
+                         "steps": (200, _int_at_least(1)),
+                         "zeta_file": (None, _optional(_path)),
+                         "mask_file": (None, _optional(_path))},
                         _run_transport_flood),
-    "transport-counterexample": ({"epsilon": 1e-3, "steps": 1000},
+    "transport-counterexample": ({"epsilon": (1e-3, _real("a number in (0, 1)",
+                                                          lambda v: 0 < v < 1)),
+                                  "steps": (1000, _int_at_least(2))},
                                  _run_transport_counterexample),
-    "korn-eig": ({"shape": [5, 5, 5], "spacing": 0.2, "origin": None,
-                  "p_family": {"name": "identity"}, "p_file": None,
-                  "gamma": {"axis": 0, "side": 0}, "gram": "l2",
-                  "dense_cap": korn.DENSE_CAP, "min_det": 1e-12,
-                  "expect_kernel_dim": 6}, _run_korn_eig),
-    "korn-probe": ({"shape": [5, 5, 5], "spacing": 0.2, "origin": None,
-                    "p_family": {"name": "identity"}, "p_file": None,
-                    "gamma": {"axis": 0, "side": 0}, "gram": "l2",
-                    "dense_cap": korn.DENSE_CAP, "min_det": 1e-12}, _run_korn_probe),
-    "korn-rigid": ({"case": "affine", "shape": [9, 9, 9], "spacing": None,
-                    "origin": None, "min_det": 1e-12, "phi_file": None,
-                    "psi_file": None}, _run_korn_rigid),
-    "korn-gp": ({"shape": [9, 9, 9], "spacing": None, "origin": None,
-                 "p_family": {"name": "identity"}, "p_file": None,
-                 "min_det": 1e-12}, _run_korn_gp),
+    "korn-eig": ({**_KORN_SOLVE, "gram": ("l2", _choice("l2", "h1", "both")),
+                  "expect_kernel_dim": (6, _int_at_least(0))}, _run_korn_eig),
+    "korn-probe": ({**_KORN_SOLVE, "gram": ("l2", _choice("l2", "h1"))},
+                   _run_korn_probe),
+    "korn-rigid": ({"case": ("affine", _choice("affine", "curvilinear", "files")),
+                    **_GRID, "shape": ([9, 9, 9], _shape),
+                    "min_det": (1e-12, _positive), "phi_file": (None, _optional(_path)),
+                    "psi_file": (None, _optional(_path))}, _run_korn_rigid),
+    "korn-gp": ({**_GRID, **_P_FIELD, "shape": ([9, 9, 9], _shape)}, _run_korn_gp),
 }
 
 

@@ -48,7 +48,7 @@ def _parse_header(line: str):
     tokens = line.split()
     if not tokens or tokens[0] != _MAGIC:
         raise ValueError(f"not a {_MAGIC} field header: {line!r}")
-    dim = int(tokens[1])
+    dim = int(tokens[1]) if len(tokens) > 1 else 0
     if len(tokens) != 2 + dim + 1 + dim + 1:
         raise ValueError(f"malformed {_MAGIC} header: {line!r}")
     shape = tuple(int(t) for t in tokens[2:2 + dim])

@@ -30,7 +30,7 @@ from . import algebra
 from .analytic import RotationMatrixField, random_trig_matrix
 from .errors import DimensionMismatch, EigensolveFailed, GridTooLarge, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
-                     fd_curl_rowwise, fd_grad)
+                     _require_stencil_room, fd_curl_rowwise, fd_grad)
 from .transport import ResidualReport, system_residual
 
 if TYPE_CHECKING:  # annotations only; the solvers import scipy when they run
@@ -179,11 +179,13 @@ def assemble_form(problem: KornProblem) -> DiscreteForm:
 
     DOFs are nodal displacement components ordered point-major; clamped
     points are eliminated.  The form is B^T B scaled by the cell volume, so
-    it is symmetric non-negative by construction.
+    it is symmetric non-negative by construction.  The 3-point stencils need
+    at least 3 points along every axis; a smaller grid raises GridTooSmall.
     """
     import scipy.sparse as sp
 
     grid = problem.grid
+    _require_stencil_room(grid)
     npts = grid.num_points
     h = grid.spacing
     d_ops = _gradient_operators(grid)

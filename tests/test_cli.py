@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from korn_kit import cli, fieldio, fields, korn
+from korn_kit.errors import ConfigError
 from korn_kit.fields import GridSpec, MatrixField, VectorField
 from korn_kit.transport import CoefficientTensorField
 
@@ -596,3 +597,105 @@ class TestFloodMaskFile:
         assert run_cli(["transport", "flood", "--config", str(cfg),
                         "--out", str(tmp_path)]) == 0
         assert read_report(tmp_path, "transport_flood.json")["domain"] == "mask_file"
+
+
+EXPERIMENT_KEYS = [(experiment, key) for experiment in cli._EXPERIMENTS
+                   for key in cli._EXPERIMENTS[experiment][0]]
+
+
+class TestParameterTables:
+    @pytest.mark.parametrize("experiment, key", EXPERIMENT_KEYS,
+                             ids=[f"{e}-{k}" for e, k in EXPERIMENT_KEYS])
+    def test_every_kind_refuses_a_bool(self, tmp_path, experiment, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(experiment, cfg)[key]
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("experiment, key", EXPERIMENT_KEYS,
+                             ids=[f"{e}-{k}" for e, k in EXPERIMENT_KEYS])
+    def test_every_default_passes_its_kind(self, experiment, key):
+        cli.load_config(experiment, None)[key]
+
+    @pytest.mark.parametrize("reserved", ["seed", "tol"])
+    def test_seed_and_tol_refuse_a_bool(self, tmp_path, capsys, reserved):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({reserved: True}))
+        code = run_cli(["transport", "counterexample", "--config", str(cfg),
+                        "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", reserved)
+
+    @pytest.mark.parametrize("command, params, key", [
+        (["transport", "propagate"], {"steps": 2.7}, "steps"),
+        (["transport", "counterexample"], {"steps": 10.5}, "steps"),
+        (["transport", "flood"], {"domain": "l-shape", "arm": 4.5}, "arm"),
+        (["algebra", "selftest"], {"tol_skew": -1}, "tol_skew"),
+        (["transport", "propagate"], {"steps": "many"}, "steps"),
+        (["transport", "propagate"], {"case": "zero", "coefficient_scale": "x"},
+         "coefficient_scale"),
+        (["transport", "flood"], {"coefficient_scale": "x"}, "coefficient_scale"),
+        (["transport", "propagate"], {"face_value": [1, 2]}, "face_value"),
+        (["transport", "propagate"], {"face_value": [0, 0, 0]}, "face_value"),
+        (["transport", "counterexample"], {"epsilon": -1}, "epsilon"),
+        (["transport", "counterexample"], {"epsilon": "x"}, "epsilon"),
+        (["algebra", "selftest"], {"tol_det": "x"}, "tol_det"),
+        (["verify-curl"], {"case": "trigonometric", "shape": 9, "levels": 2,
+                           "min_order": "x"}, "min_order"),
+        (["verify-curl"], {"tol": "abc"}, "tol"),
+    ], ids=["propagate-float-steps", "counterexample-float-steps", "flood-float-arm",
+            "selftest-negative-tol-skew", "propagate-string-steps",
+            "propagate-string-scale", "flood-string-scale",
+            "propagate-short-face-value", "propagate-zero-face-value",
+            "counterexample-negative-epsilon", "counterexample-string-epsilon",
+            "selftest-string-tol-det", "curl-string-min-order", "curl-string-tol"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, params, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
+
+    def test_flood_l_shape_on_a_plane(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": "l-shape", "shape": [9, 9], "arm": 4}))
+        assert run_cli(["transport", "flood", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "transport_flood.json")
+        assert report["grid"]["shape"] == [9, 9]
+        assert len(report["report"]["cuboids"]) >= 2
+
+    def test_grid_keys_beside_a_p_file_are_not_read(self, tmp_path):
+        grid = GridSpec((4, 4, 4), (0.0,) * 3, 0.25)
+        fieldio.save_field(tmp_path / "p.kfk", MatrixField.constant(grid, np.eye(3)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_file": str(tmp_path / "p.kfk"),
+                                   "shape": "unused", "spacing": -1}))
+        assert run_cli(["korn", "eig", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, params", [
+        (["korn", "eig"], {"shape": [2, 5, 5], "gamma": "none"}),
+        (["korn", "probe"], {"shape": [2, 5, 5], "gamma": "none"}),
+        (["korn", "eig"], {"shape": [2, 2, 2]}),
+    ], ids=["eig-free", "probe-free", "eig-clamped"])
+    def test_korn_grid_too_small_is_typed_exit_2(self, tmp_path, capsys, command,
+                                                 params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooSmall"
+
+    def test_bare_field_header_names_p_file(self, tmp_path, capsys):
+        (tmp_path / "bare.kfk").write_bytes(b"KFK1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_file": str(tmp_path / "bare.kfk"),
+                                   "gamma": "none"}))
+        code = run_cli(["korn", "probe", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "p_file")

@@ -60,6 +60,15 @@ def test_rejects_bad_magic(tmp_path):
         fieldio.load_field(path)
 
 
+@pytest.mark.parametrize("header", [b"KFK1\n", b"KFK1", b"KFK1 3\n"],
+                         ids=["magic-only", "magic-no-newline", "dim-only"])
+def test_rejects_a_header_without_its_fields(tmp_path, header):
+    path = tmp_path / "bare.kfk"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match="malformed"):
+        fieldio.load_field(path)
+
+
 def test_rejects_truncated_payload(tmp_path, grid):
     f = VectorField.zeros(grid, 3)
     path = tmp_path / "v.kfk"

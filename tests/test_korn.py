@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from korn_kit import algebra, analytic, korn
 from korn_kit.errors import (DeterminantTooSmall, DimensionMismatch,
-                             EigensolveFailed, GridTooLarge, UnknownKind)
+                             EigensolveFailed, GridTooLarge, GridTooSmall,
+                             UnknownKind)
 from korn_kit.fields import (GridSpec, MatrixField, VectorField,
                              fd_curl_rowwise, fd_grad, refinement_errors)
 from korn_kit.korn import (KornProblem, assemble_form, boundary_mask, build_gp,
@@ -140,6 +141,16 @@ class TestAssembleForm:
         assert np.max(np.abs(k - k.T)) <= 1e-12 * max(1.0, np.max(np.abs(k)))
         w = np.linalg.eigvalsh(k)
         assert w[0] >= -1e-10 * max(1.0, w[-1])
+
+    @pytest.mark.parametrize("shape, clamped", [((2, 5, 5), False), ((5, 5, 2), False),
+                                                ((2, 2, 2), True)],
+                             ids=["free-2-points-first", "free-2-points-last",
+                                  "clamped-2-cubed"])
+    def test_refuses_an_axis_too_short_for_the_stencil(self, shape, clamped):
+        g = GridSpec(shape, (0.0,) * 3, 0.25)
+        gamma = face_mask(g, 0, 0) if clamped else None
+        with pytest.raises(GridTooSmall):
+            assemble_form(KornProblem(g, identity_p(g), gamma))
 
 
 class TestMinRayleigh:
