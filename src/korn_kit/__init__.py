@@ -1,9 +1,9 @@
 """Desk-scale numerical toolkit for matrix-curl identities, unique-continuation
 transport of boundary data, and generalized Korn seminorms."""
 
-from .algebra import (LOperators, SkewMat3, axl, build_l_operators,
-                      curl_product_pointwise, curl_product_skew_pointwise, dvec,
-                      invert_l, mat_of_vec, skewvec, smat, symvec, vec_of_mat)
+from .algebra import (SkewMat3, axl, curl_product_pointwise,
+                      curl_product_skew_pointwise, dvec, mat_of_vec, skewvec,
+                      smat, symvec, vec_of_mat)
 from .analytic import make_analytic_field
 from .errors import (ConfigError, DeterminantTooSmall, DimensionMismatch,
                      DisconnectedDomain, EigensolveFailed, FaceMismatch,

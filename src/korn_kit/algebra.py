@@ -7,12 +7,11 @@ Conventions used throughout the package:
 * For a skew-symmetric matrix A the axial vector a = axl(A) satisfies
   A @ x == cross(a, x) for every x, and smat is the inverse map.
 * The row-built 9x9 operators L_diag, L_skew, L_sym and L = L_skew + L_sym
-  are assembled from smat of the rows of a 3x3 matrix Y.  L is symmetric
-  and det L == -2 * det(Y)**3, so L is invertible exactly when Y is.
-  These matrices are the reference algebra that tests check against; on
-  fields the curl-of-product formulas apply them as cross products of the
-  rows of Y (every block is +-smat(row of Y)) and apply_l_inverse inverts
-  L in closed form, so no 9x9 matrix is built per point.
+  of a 3x3 matrix Y have every nonzero block +-smat(row of Y).  L is
+  symmetric and det L == -2 * det(Y)**3, so L is invertible exactly when Y
+  is.  The curl-of-product formulas apply them as cross products of the
+  rows of Y and apply_l_inverse inverts L in closed form, so no 9x9 matrix
+  is built; the 9x9 matrices are the tests' reference algebra.
 * A "grad27" value collects the nine entry gradients of a matrix field,
   shape (9, 3): row k is the spatial gradient of vec(X)[k].
 
@@ -22,7 +21,7 @@ single matrix or to a whole grid of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .errors import DeterminantTooSmall
 DEFAULT_MIN_DET = 1e-12
 
 # vec indices of the diagonal, strictly-upper and strictly-lower entries,
-# with signs, as consumed by the three extraction maps; each sign is a row
-# so that it scales a whole gathered gradient row.
+# with signs, as read by the three extraction maps and their hat maps; each
+# sign is a row so that it scales a whole gathered gradient row.
 _DVEC_IDX = (0, 4, 8)
 _DVEC_SIGN = np.array([[1.0], [1.0], [1.0]])
 _SKEWVEC_IDX = (5, 2, 1)
@@ -141,60 +140,25 @@ class SkewMat3:
         return smat(self.axial)
 
 
+def _extract(m, idx, sign):
+    # the entries that the matching hat map differentiates, with its signs
+    m = _as_float_array(m, (3, 3), "m")
+    return np.take(m.reshape(m.shape[:-2] + (9,)), idx, axis=-1) * sign[:, 0]
+
+
 def dvec(m):
     """Diagonal entries of a 3x3 matrix as a 3-vector."""
-    m = _as_float_array(m, (3, 3), "m")
-    return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]], axis=-1)
+    return _extract(m, _DVEC_IDX, _DVEC_SIGN)
 
 
 def skewvec(m):
     """Strictly-upper entry data (-m23, m13, -m12); equals axl on so(3)."""
-    m = _as_float_array(m, (3, 3), "m")
-    return np.stack([-m[..., 1, 2], m[..., 0, 2], -m[..., 0, 1]], axis=-1)
+    return _extract(m, _SKEWVEC_IDX, _SKEWVEC_SIGN)
 
 
 def symvec(m):
     """Strictly-lower entry data (m32, -m31, m21); equals axl on so(3)."""
-    m = _as_float_array(m, (3, 3), "m")
-    return np.stack([m[..., 2, 1], -m[..., 2, 0], m[..., 1, 0]], axis=-1)
-
-
-@dataclass(frozen=True)
-class LOperators:
-    """The four row-built 9x9 operators of a 3x3 matrix; full = skew + sym."""
-
-    diag: np.ndarray
-    skew: np.ndarray
-    sym: np.ndarray
-    full: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "full", self.skew + self.sym)
-
-
-def build_l_operators(y) -> LOperators:
-    """Assemble L_diag, L_skew, L_sym and L = L_skew + L_sym from Y.
-
-    The blocks are smat of the rows of Y placed in the fixed sparsity
-    pattern; L is symmetric by construction and L = L_skew + L_sym holds
-    exactly because ``full`` is formed as that sum.
-    """
-    y = _as_float_array(y, (3, 3), "y")
-    s = [smat(y[..., n, :]) for n in range(3)]
-    batch = y.shape[:-2]
-
-    diag = np.zeros(batch + (9, 9), dtype=float)
-    skew = np.zeros(batch + (9, 9), dtype=float)
-    sym = np.zeros(batch + (9, 9), dtype=float)
-    for n in range(3):
-        diag[..., 3 * n:3 * n + 3, 3 * n:3 * n + 3] = -s[n]
-    skew[..., 0:3, 3:6] = -s[2]
-    skew[..., 0:3, 6:9] = s[1]
-    skew[..., 3:6, 0:3] = s[2]
-    sym[..., 3:6, 6:9] = -s[0]
-    sym[..., 6:9, 0:3] = -s[1]
-    sym[..., 6:9, 3:6] = s[0]
-    return LOperators(diag=diag, skew=skew, sym=sym)
+    return _extract(m, _SYMVEC_IDX, _SYMVEC_SIGN)
 
 
 def apply_l_inverse(y, h, det_y) -> np.ndarray:
@@ -211,30 +175,6 @@ def apply_l_inverse(y, h, det_y) -> np.ndarray:
     out -= y @ np.swapaxes(h, -1, -2) @ y
     out /= np.asarray(det_y)[..., None, None]
     return out
-
-
-def invert_l(y, min_det: float = DEFAULT_MIN_DET) -> np.ndarray:
-    """Inverse of L built from Y by apply_l_inverse, behind a determinant floor.
-
-    Raises DeterminantTooSmall if |det Y| < min_det (det L = -2 det(Y)**3,
-    so L degenerates exactly with Y), or if the computed inverse fails the
-    residual bound max|L @ Linv - I| <= 1e-12 * max|L|, which signals that
-    Y is effectively singular at working precision.
-    """
-    y = _as_float_array(y, (3, 3), "y")
-    if min_det <= 0.0:
-        raise ValueError("min_det must be positive")
-    dets = det_floor(y, min_det, "Y", absolute=True)
-    columns = apply_l_inverse(y[..., None, :, :], np.eye(9).reshape(9, 3, 3),
-                              dets[..., None])
-    l_inv = np.swapaxes(columns.reshape(y.shape[:-2] + (9, 9)), -1, -2)
-    l_full = build_l_operators(y).full
-    residual = np.max(np.abs(l_full @ l_inv - np.eye(9)), axis=(-2, -1))
-    scale = np.max(np.abs(l_full), axis=(-2, -1))
-    if np.any(residual > 1e-12 * np.maximum(scale, 1.0)):
-        raise DeterminantTooSmall(
-            "L inverse residual exceeds 1e-12 * |L|; Y is numerically singular")
-    return l_inv
 
 
 def curl_row(d) -> np.ndarray:
@@ -292,8 +232,7 @@ def curl_product_pointwise(grad_x, x, y, curl_y) -> np.ndarray:
     where g_d, g_s, g_m are the stacked gradients of the diagonal,
     strictly-upper and strictly-lower extractions of X, read off grad_x.
     The L products are cross products of the rows of Y (see _apply_l), so
-    memory stays a few 3x3 arrays per point; build_l_operators gives the
-    same operators as 9x9 matrices.
+    memory stays a few 3x3 arrays per point.
     """
     grad_x = _as_float_array(grad_x, (9, 3), "grad_x")
     x = _as_float_array(x, (3, 3), "x")

@@ -9,6 +9,7 @@ possible alongside genuine O(h^2) convergence cases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,14 +205,8 @@ class RotationMatrixField(AnalyticMatrixField):
 
 
 def _quadratic_exponents(per_axis_degree, total_degree):
-    exps = []
-    d = per_axis_degree
-    for e1 in range(d + 1):
-        for e2 in range(d + 1):
-            for e3 in range(d + 1):
-                if e1 + e2 + e3 <= total_degree:
-                    exps.append((e1, e2, e3))
-    return np.array(exps, dtype=int)
+    return np.array([e for e in itertools.product(range(per_axis_degree + 1), repeat=3)
+                     if sum(e) <= total_degree], dtype=int)
 
 
 def _random_polynomial(cls, lead, seed, per_axis_degree, total_degree):

@@ -29,6 +29,7 @@ from . import algebra, analytic, fieldio, korn, reporting, transport
 from .errors import ConfigError, GridTooLarge, KornKitError, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      curl_product_discrepancy, refinement_errors)
+from .korn import _is_real
 
 SCHEMA = "korn-kit/1"
 RESERVED_KEYS = {"schema", "seed", "tol", "out"}
@@ -121,13 +122,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    """Whether value is a finite int or float (not a bool)."""
-    # comparing first keeps float() from overflowing on a huge integer
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
-
-
 def _kind(wanted, accept, convert=lambda value: value):
     """A kind: convert(value) if accept(value), else a ConfigError naming key."""
     def kind(key, value):
@@ -142,7 +136,7 @@ def _int_at_least(low):
 
 
 def _real(wanted, accept=lambda v: True):
-    return _kind(wanted, lambda v: _is_finite_number(v) and accept(v), float)
+    return _kind(wanted, lambda v: _is_real(v) and accept(v), float)
 
 
 def _choice(*names):
@@ -167,7 +161,7 @@ def _face(**defaults):
 _finite = _real("a finite number")
 _positive = _real("a positive finite number", lambda v: v > 0)
 _finite_list = _kind("a list of finite numbers",
-                     lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
+                     lambda v: isinstance(v, list) and all(map(_is_real, v)),
                      lambda v: [float(n) for n in v])
 _shape = _kind("a list of positive integers",
                lambda v: isinstance(v, list) and v and all(
@@ -256,6 +250,30 @@ def _korn_problem(cfg: RunConfig):
 # experiment handlers
 
 
+# the nine unit 9-vectors as 3x3 matrices, vec(_UNITS[k]) = e_k, and smat(e_c)
+_UNITS = np.eye(9).reshape(9, 3, 3)
+_SKEWS = algebra.smat(np.eye(3))
+
+
+def _l_matrices(ys):
+    """L, L_skew and L_sym of each Y, read column by column off the kernels.
+
+    Column k of L is the skew formula fed the axial-vector Jacobian e_k.
+    Column 3 i + j of L_skew (L_sym) is the general formula fed the entry
+    gradients e_j of the strictly-upper (strictly-lower) part of smat(e_i),
+    whose skewvec (symvec) is e_i and whose other extractions are zero.
+    """
+    ys = ys[..., None, :, :]
+    zero = np.zeros((3, 3))
+    columns = [algebra.curl_product_skew_pointwise(
+        _UNITS, algebra.SkewMat3(np.zeros(3)), ys, zero)]
+    for part in (np.triu(_SKEWS, 1), np.tril(_SKEWS, -1)):
+        grad27 = np.einsum("ipq,jr->ijpqr", part, np.eye(3)).reshape(9, 9, 3)
+        columns.append(algebra.curl_product_pointwise(grad27, zero, ys, zero))
+    # entry k of each stack is mat(column k)
+    return [np.swapaxes(c.reshape(c.shape[:-3] + (9, 9)), -1, -2) for c in columns]
+
+
 def _run_algebra_selftest(cfg: RunConfig, rng):
     checks = []
 
@@ -287,13 +305,13 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
     record("so3_extractions", 100, worst, 0.0)
 
     ys = rng.uniform(-1, 1, (1000, 3, 3))
-    ops = algebra.build_l_operators(ys)
-    worst = np.max(np.abs(ops.full - np.swapaxes(ops.full, -1, -2)))
+    l_full, l_skew, l_sym = _l_matrices(ys)
+    worst = np.max(np.abs(l_full - np.swapaxes(l_full, -1, -2)))
     record("l_symmetry", 1000, worst, 0.0)
-    worst = np.max(np.abs(ops.full - (ops.skew + ops.sym)))
+    worst = np.max(np.abs(l_full - (l_skew + l_sym)))
     record("l_decomposition", 1000, worst, 0.0)
 
-    det_l = np.linalg.det(ops.full)
+    det_l = np.linalg.det(l_full)
     det_y = np.linalg.det(ys)
     scale = np.maximum(1.0, np.abs(det_y) ** 3)
     worst = np.max(np.abs(det_l + 2.0 * det_y ** 3) / scale)
@@ -305,10 +323,8 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
         grad_axl = rng.uniform(-1, 1, (3, 3))
         y = rng.uniform(-1, 1, (3, 3))
         curl_y = rng.uniform(-1, 1, (3, 3))
-        grad27 = np.zeros((9, 3))
-        for comp in range(3):
-            skew_dir = algebra.smat(np.eye(3)[comp])
-            grad27 += skew_dir.reshape(9, 1) * grad_axl[comp][None, :]
+        # entry gradients of smat(zeta) when the axial vector has Jacobian grad_axl
+        grad27 = np.einsum("cpq,cj->pqj", _SKEWS, grad_axl).reshape(9, 3)
         general = algebra.curl_product_pointwise(
             grad27, algebra.smat(zeta), y, curl_y)
         special = algebra.curl_product_skew_pointwise(
@@ -320,8 +336,9 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
     for _ in range(20):
         y = rng.uniform(-1, 1, (3, 3))
         y = y / np.cbrt(abs(np.linalg.det(y)))
-        l_inv = algebra.invert_l(y, min_det=1e-6)
-        l_full = algebra.build_l_operators(y).full
+        columns = algebra.apply_l_inverse(y[None], _UNITS, np.linalg.det(y)[None])
+        l_inv = np.swapaxes(columns.reshape(9, 9), -1, -2)
+        l_full = _l_matrices(y)[0]
         worst = max(worst, float(np.max(np.abs(l_full @ l_inv - np.eye(9)))))
     record("l_inverse_residual", 20, worst, 1e-12)
 
@@ -355,10 +372,8 @@ def _run_verify_curl(cfg: RunConfig, rng):
                                         analytic.LazyMatrixSample(y_case, grid))
 
     report = refinement_errors(error_at, base, levels=levels)
-    rows = [[h, e] for h, e in zip(report.spacings, report.max_errors)]
-    for i, order in enumerate(report.orders):
-        rows[i + 1].append(order)
-    rows[0].append("")
+    rows = [[h, e, order] for h, e, order in
+            zip(report.spacings, report.max_errors, ("",) + report.orders)]
 
     if case == "quadratic":
         tol = cfg.tol or 1e-9
@@ -562,12 +577,17 @@ def _run_korn_probe(cfg: RunConfig, rng):
 def _run_korn_rigid(cfg: RunConfig, rng):
     case = cfg["case"]
     if case == "files":
-        phi = _input_field(cfg, "phi_file", VectorField)
-        psi = _input_field(cfg, "psi_file", VectorField)
+        phi, psi = (_input_field(cfg, key, VectorField)
+                    for key in ("phi_file", "psi_file"))
+        for key, fld in (("phi_file", phi), ("psi_file", psi)):
+            if fld.grid.dim != 3 or fld.components != 3:
+                raise ConfigError(f"{key} must hold 3-vectors on a 3-D grid", key=key)
         tol = cfg.tol or 1e-6
         true_axial = None
     else:
         grid = _grid(cfg)
+        if grid.dim != 3:
+            raise ConfigError("shape must have 3 axes", key="shape")
         pts = grid.points()
         omega = rng.uniform(-1.0, 1.0, 3)
         shift = rng.uniform(-1.0, 1.0, 3)

@@ -21,6 +21,8 @@ not by the module, so importing korn (and the package) needs only numpy.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -30,7 +32,7 @@ from . import algebra
 from .analytic import RotationMatrixField, random_trig_matrix
 from .errors import DimensionMismatch, EigensolveFailed, GridTooLarge, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
-                     _require_stencil_room, fd_curl_rowwise, fd_grad)
+                     _gradient, _require_stencil_room, fd_curl_rowwise, fd_grad)
 from .transport import ResidualReport, system_residual
 
 if TYPE_CHECKING:  # annotations only; the solvers import scipy when they run
@@ -47,14 +49,9 @@ DENSE_CAP = 1024
 
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
-    """Points with at least one extremal index."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        idx = [slice(None)] * grid.dim
-        idx[ax] = 0
-        mask[tuple(idx)] = True
-        idx[ax] = -1
-        mask[tuple(idx)] = True
+    """Points with at least one extremal index: all but the interior."""
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[grid.interior()] = False
     return mask
 
 
@@ -115,25 +112,17 @@ def seminorm(u: VectorField, P: MatrixField) -> float:
     return float(math.sqrt(h ** u.grid.dim * np.sum(strain * strain)))
 
 
-def _d1_sparse(n: int, h: float) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    d = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -0.5 / h
-        d[i, i + 1] = 0.5 / h
-    d[0, 0], d[0, 1], d[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    d[n - 1, n - 1], d[n - 1, n - 2], d[n - 1, n - 3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return d.tocsr()
-
-
 def _gradient_operators(grid: GridSpec):
-    """Sparse nodal derivative operators D_k on scalar point fields."""
+    """Sparse nodal derivative operators D_k on scalar point fields.
+
+    Each 1-D factor is the package's stencil applied to the identity, so the
+    operators and fd_grad difference alike.
+    """
     import scipy.sparse as sp
 
     h = grid.spacing
     eyes = [sp.identity(n, format="csr") for n in grid.shape]
-    ds = [_d1_sparse(n, h) for n in grid.shape]
+    ds = [sp.csr_matrix(_gradient(np.eye(n), h, 0)) for n in grid.shape]
     return [
         sp.kron(sp.kron(ds[0], eyes[1]), eyes[2], format="csr"),
         sp.kron(sp.kron(eyes[0], ds[1]), eyes[2], format="csr"),
@@ -592,11 +581,35 @@ def sym_conjugation_residual(grad_phi, grad_psi) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-# the keyword parameters of each built-in coefficient family
+def _is_real(v) -> bool:
+    """Whether v is a finite real number; a bool is never a number."""
+    # comparing first keeps a huge int from overflowing a float conversion
+    return (isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+def _is_vector(v) -> bool:
+    return ((isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) == 1)
+            and len(v) == 3 and all(map(_is_real, v)))
+
+
+_REAL = ("a finite number", _is_real)
+_VECTOR = ("three finite numbers", _is_vector)
+
+# keyword -> (default, (what a value must be, its check)) for each built-in
+# coefficient family
 _FAMILY_KEYWORDS = {
-    "identity": (),
-    "rotation-valued": ("axis", "base", "lin", "amp", "freq", "phase"),
-    "graded-roughness": ("amplitude", "frequency", "seed", "min_det"),
+    "identity": {},
+    "rotation-valued": {
+        "axis": ((0.0, 0.0, 1.0), ("three finite numbers, not all zero",
+                                   lambda v: _is_vector(v) and any(v))),
+        "base": (0.3, _REAL), "lin": ((0.4, 0.2, 0.1), _VECTOR), "amp": (0.0, _REAL),
+        "freq": ((0.0, 0.0, 0.0), _VECTOR), "phase": (0.0, _REAL)},
+    "graded-roughness": {
+        "amplitude": (0.1, _REAL), "frequency": (1.0, _REAL),
+        "seed": (0, ("an integer >= 0", lambda v: isinstance(v, numbers.Integral)
+                     and _is_real(v) and v >= 0)),
+        "min_det": (0.1, ("a positive finite number", lambda v: _is_real(v) and v > 0))},
 }
 
 
@@ -608,6 +621,7 @@ def builtin_p_field(name: str, grid: GridSpec, **params) -> MatrixField:
     kept small enough that the determinant floor stays safe.  An unknown
     family raises UnknownKind and a keyword the family does not accept
     raises TypeError, so a misspelt parameter never falls back to its default.
+    A keyword of the wrong type or out of range raises ValueError.
     """
     if not isinstance(name, str) or name not in _FAMILY_KEYWORDS:
         raise UnknownKind(f"unknown coefficient family {name!r}; the families are "
@@ -617,26 +631,20 @@ def builtin_p_field(name: str, grid: GridSpec, **params) -> MatrixField:
     if unknown:
         raise TypeError(f"{name} accepts {', '.join(accepted) or 'no keywords'}, "
                         f"got {', '.join(map(repr, unknown))}")
+    for key, value in params.items():
+        wanted, accept = accepted[key][1]
+        if not accept(value):
+            raise ValueError(f"{name} {key} must be {wanted}, got {value!r}")
+    kw = {key: params.get(key, default) for key, (default, _) in accepted.items()}
     if name == "identity":
         return MatrixField.constant(grid, np.eye(3))
     if name == "rotation-valued":
-        field = RotationMatrixField(
-            axis=params.get("axis", (0.0, 0.0, 1.0)),
-            base=params.get("base", 0.3),
-            lin=params.get("lin", (0.4, 0.2, 0.1)),
-            amp=params.get("amp", 0.0),
-            freq=params.get("freq", (0.0, 0.0, 0.0)),
-            phase=params.get("phase", 0.0))
-        return field.sample(grid)
-    if name == "graded-roughness":
-        amplitude = float(params.get("amplitude", 0.1))
-        frequency = float(params.get("frequency", 1.0))
-        seed = int(params.get("seed", 0))
-        min_det = float(params.get("min_det", 0.1))
-        trig = random_trig_matrix(seed, amplitude=amplitude, wavenumber=frequency)
-        values = np.broadcast_to(np.eye(3), grid.shape + (3, 3)) + trig.value(grid.points())
-        algebra.det_floor(values, min_det, "of the graded-roughness field")
-        return MatrixField(grid, values)
+        return RotationMatrixField(**kw).sample(grid)
+    trig = random_trig_matrix(int(kw["seed"]), amplitude=float(kw["amplitude"]),
+                              wavenumber=float(kw["frequency"]))
+    values = np.broadcast_to(np.eye(3), grid.shape + (3, 3)) + trig.value(grid.points())
+    algebra.det_floor(values, float(kw["min_det"]), "of the graded-roughness field")
+    return MatrixField(grid, values)
 
 
 @dataclass(frozen=True)

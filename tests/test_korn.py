@@ -24,6 +24,7 @@ from korn_kit.korn import (KornProblem, assemble_form, boundary_mask, build_gp,
                            seminorm, sweep_roughness, sym_conjugation_residual,
                            sym_conjugation_sides)
 from korn_kit.korn import _band_order, _pair_residual
+from reference_algebra import build_l_operators
 
 
 def unit_cell_grid(n=5):
@@ -448,7 +449,7 @@ class TestBuildGP:
         rng = np.random.default_rng(4)
         z = rng.uniform(-1, 1, g.shape + (3,))
         gz = np.einsum("...ijk,...k->...ij", gp.values, z)
-        l_full = algebra.build_l_operators(p.values).full
+        l_full = build_l_operators(p.values).full
         lhs = np.einsum("...pq,...q->...p", l_full, gz.reshape(g.shape + (9,)))
         rhs = -(algebra.smat(z) @ curl_p.values).reshape(g.shape + (9,))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -464,7 +465,7 @@ class TestBuildGP:
             p = p_case.sample(grid)
             product = MatrixField(grid, algebra.smat(zeta.values) @ p.values)
             lhs = fd_curl_rowwise(product).values
-            l_full = algebra.build_l_operators(p.values).full
+            l_full = build_l_operators(p.values).full
             hat_grad = fd_grad(zeta).values.reshape(grid.shape + (9,))
             rhs = algebra.mat_of_vec(
                 np.einsum("...pq,...q->...p", l_full, hat_grad)) \
@@ -481,7 +482,7 @@ class TestBuildGP:
         for p in (builtin_p_field("rotation-valued", g),
                   builtin_p_field("graded-roughness", g, seed=2, frequency=3.0)):
             curl_p = fd_curl_rowwise(p)
-            l_inv = np.linalg.inv(algebra.build_l_operators(p.values).full)
+            l_inv = np.linalg.inv(build_l_operators(p.values).full)
             x9 = np.einsum("mik,...kj->...ijm", algebra.smat(np.eye(3)),
                            curl_p.values).reshape(g.shape + (9, 3))
             expected = -np.einsum("...pq,...qm->...pm", l_inv, x9)
@@ -656,6 +657,33 @@ class TestPFamilies:
     def test_unknown_keyword_is_refused(self, name, params):
         with pytest.raises(TypeError, match="accepts"):
             builtin_p_field(name, unit_cell_grid(), **params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("graded-roughness", {"seed": 2.7}),
+        ("graded-roughness", {"seed": True}),
+        ("graded-roughness", {"seed": -1}),
+        ("graded-roughness", {"amplitude": "0.1"}),
+        ("graded-roughness", {"frequency": float("inf")}),
+        ("graded-roughness", {"min_det": -1}),
+        ("graded-roughness", {"min_det": 0.0}),
+        ("rotation-valued", {"base": True}),
+        ("rotation-valued", {"phase": float("nan")}),
+        ("rotation-valued", {"axis": (0.0, 0.0, 0.0)}),
+        ("rotation-valued", {"lin": (0.1, 0.2)}),
+        ("rotation-valued", {"freq": (1.0, True, 0.0)}),
+        ("rotation-valued", {"freq": np.zeros((3, 3))}),
+    ])
+    def test_keyword_value_is_checked(self, name, params):
+        with pytest.raises(ValueError, match="must be"):
+            builtin_p_field(name, unit_cell_grid(), **params)
+
+    def test_numpy_keyword_values_are_accepted(self):
+        g = unit_cell_grid()
+        p = builtin_p_field("graded-roughness", g, seed=np.int64(1),
+                            frequency=np.float64(2.0))
+        assert np.array_equal(p.values, builtin_p_field(
+            "graded-roughness", g, seed=1, frequency=2.0).values)
+        builtin_p_field("rotation-valued", g, axis=np.array([0.0, 1.0, 1.0]))
 
 
 class TestRoughnessSweep:
