@@ -73,14 +73,12 @@ def skew(m):
     return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
-def det_floor(m, min_det: float, name: str, *, absolute: bool = False) -> np.ndarray:
+def det_floor(m, min_det: float, name: str) -> np.ndarray:
     """det of 3x3 matrices; DeterminantTooSmall, naming the matrix, below min_det."""
     dets = np.linalg.det(m)
-    low = np.abs(dets) if absolute else dets
-    if np.any(low < min_det):
-        label = f"|det {name}|" if absolute else f"det {name}"
+    if np.any(dets < min_det):
         raise DeterminantTooSmall(
-            f"{label} reaches {float(low.min()):g}, floor is {min_det:g}")
+            f"det {name} reaches {float(dets.min()):g}, floor is {min_det:g}")
     return dets
 
 

@@ -9,7 +9,6 @@ possible alongside genuine O(h^2) convergence cases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,8 +204,14 @@ class RotationMatrixField(AnalyticMatrixField):
 
 
 def _quadratic_exponents(per_axis_degree, total_degree):
-    return np.array([e for e in itertools.product(range(per_axis_degree + 1), repeat=3)
-                     if sum(e) <= total_degree], dtype=int)
+    exps = []
+    d = per_axis_degree
+    for e1 in range(d + 1):
+        for e2 in range(d + 1):
+            for e3 in range(d + 1):
+                if e1 + e2 + e3 <= total_degree:
+                    exps.append((e1, e2, e3))
+    return np.array(exps, dtype=int)
 
 
 def _random_polynomial(cls, lead, seed, per_axis_degree, total_degree):

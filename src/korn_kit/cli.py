@@ -323,8 +323,10 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
         grad_axl = rng.uniform(-1, 1, (3, 3))
         y = rng.uniform(-1, 1, (3, 3))
         curl_y = rng.uniform(-1, 1, (3, 3))
-        # entry gradients of smat(zeta) when the axial vector has Jacobian grad_axl
-        grad27 = np.einsum("cpq,cj->pqj", _SKEWS, grad_axl).reshape(9, 3)
+        grad27 = np.zeros((9, 3))
+        for comp in range(3):
+            skew_dir = algebra.smat(np.eye(3)[comp])
+            grad27 += skew_dir.reshape(9, 1) * grad_axl[comp][None, :]
         general = algebra.curl_product_pointwise(
             grad27, algebra.smat(zeta), y, curl_y)
         special = algebra.curl_product_skew_pointwise(
@@ -372,8 +374,10 @@ def _run_verify_curl(cfg: RunConfig, rng):
                                         analytic.LazyMatrixSample(y_case, grid))
 
     report = refinement_errors(error_at, base, levels=levels)
-    rows = [[h, e, order] for h, e, order in
-            zip(report.spacings, report.max_errors, ("",) + report.orders)]
+    rows = [[h, e] for h, e in zip(report.spacings, report.max_errors)]
+    for i, order in enumerate(report.orders):
+        rows[i + 1].append(order)
+    rows[0].append("")
 
     if case == "quadratic":
         tol = cfg.tol or 1e-9
@@ -577,8 +581,8 @@ def _run_korn_probe(cfg: RunConfig, rng):
 def _run_korn_rigid(cfg: RunConfig, rng):
     case = cfg["case"]
     if case == "files":
-        phi, psi = (_input_field(cfg, key, VectorField)
-                    for key in ("phi_file", "psi_file"))
+        phi = _input_field(cfg, "phi_file", VectorField)
+        psi = _input_field(cfg, "psi_file", VectorField)
         for key, fld in (("phi_file", phi), ("psi_file", psi)):
             if fld.grid.dim != 3 or fld.components != 3:
                 raise ConfigError(f"{key} must hold 3-vectors on a 3-D grid", key=key)

@@ -286,8 +286,13 @@ class ConvergenceReport:
     @property
     def orders(self) -> tuple:
         """Observed order log2(err(h) / err(h/2)) per refinement step."""
-        return tuple(math.log2(e0 / e1) if e1 != 0.0 else math.inf
-                     for e0, e1 in zip(self.max_errors, self.max_errors[1:]))
+        out = []
+        for e0, e1 in zip(self.max_errors, self.max_errors[1:]):
+            if e1 == 0.0:
+                out.append(float("inf"))
+            else:
+                out.append(math.log2(e0 / e1))
+        return tuple(out)
 
     @property
     def min_order(self) -> float:
