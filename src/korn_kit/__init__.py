@@ -23,9 +23,9 @@ from .korn import (DiscreteForm, KornProblem, ProbeReport, RayleighResult,
                    sym_conjugation_sides)
 from .transport import (CoverageReport, CounterexampleReport, GronwallBound,
                         IntegrabilityReport, LineCoefficient, ResidualReport,
-                        Trajectory, counterexample_demo, cuboid_mask,
-                        flood_propagate, gronwall_bound, integrate_line,
-                        integrate_norm, propagate_cube, system_residual)
+                        Trajectory, counterexample_demo, flood_propagate,
+                        gronwall_bound, integrate_line, integrate_norm,
+                        propagate_cube, system_residual)
 
 __version__ = "0.1.0"
 

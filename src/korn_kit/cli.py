@@ -184,8 +184,12 @@ def _gamma(key, value):
 # what several experiments read, with the checks across keys
 
 
-def _grid(cfg: RunConfig) -> GridSpec:
+def _grid(cfg: RunConfig, three_d=False) -> GridSpec:
+    """The grid of the keys shape, spacing and origin; three_d asks for 3 axes."""
     shape, spacing, origin = cfg["shape"], cfg["spacing"], cfg["origin"]
+    if three_d and len(shape) != 3:
+        raise ConfigError(f"shape must have 3 axes, got {cfg.params['shape']!r}",
+                          key="shape")
     if origin is not None and len(origin) != len(shape):
         raise ConfigError(f"origin must be a list of {len(shape)} finite numbers, got "
                           f"{cfg.params['origin']!r}", key="origin")
@@ -231,7 +235,7 @@ def _p_field(cfg: RunConfig):
     if cfg["p_file"] is not None:
         fld = _input_field(cfg, "p_file", MatrixField)
         return fld, fld.grid, None
-    grid = _grid(cfg)
+    grid = _grid(cfg, three_d=True)
     name, keywords = cfg["p_family"]
     try:
         return korn.builtin_p_field(name, grid, **keywords), grid, name
@@ -412,7 +416,7 @@ def _run_transport_propagate(cfg: RunConfig, rng):
         residual_tol = cfg.tol or 1e-6
         exact = None
     else:
-        grid = _grid(cfg)
+        grid = _grid(cfg, three_d=True)
         if case == "exponential":
             coef = _exponential_case(grid)
             value = np.asarray(cfg["face_value"])
@@ -589,9 +593,7 @@ def _run_korn_rigid(cfg: RunConfig, rng):
         tol = cfg.tol or 1e-6
         true_axial = None
     else:
-        grid = _grid(cfg)
-        if grid.dim != 3:
-            raise ConfigError("shape must have 3 axes", key="shape")
+        grid = _grid(cfg, three_d=True)
         pts = grid.points()
         omega = rng.uniform(-1.0, 1.0, 3)
         shift = rng.uniform(-1.0, 1.0, 3)

@@ -9,9 +9,10 @@ coefficient norm is integrable; the envelope machinery also exposes the
 failure mode for non-integrable coefficients such as 1/t on (0, 1).
 
 Voxel domains are covered by overlapping axis-aligned cuboids grown
-greedily from a zero seed region.  Each cuboid is checked by its zero face
-data, zeta_max and the full-system residual, not by propagation: RK4 on
-zero face data of a linear system returns exactly zero.
+greedily from a zero seed region given as a mask.  Each cuboid is checked
+on its own block of the grid arrays by its zero face data, zeta_max and
+the full-system residual, not by propagation: RK4 on zero face data of a
+linear system returns exactly zero.
 
 The coefficient G is a CoefficientTensorField, defined in fields next to
 the vector and matrix fields and importable from here as well.
@@ -281,7 +282,7 @@ def propagate_cube(coefficient: CoefficientTensorField, face_data: VectorField,
     if n_last < 2:
         raise FaceMismatch("propagation needs at least 2 points along the last axis")
     if n == 3:
-        expected_face = GridSpec(grid.shape[:-1], grid.origin[:-1], grid.spacing)
+        expected_face = grid.face(-1)
         if face_data.grid != expected_face:
             raise FaceMismatch(
                 f"face grid {face_data.grid} does not match {expected_face}")
@@ -317,7 +318,7 @@ def propagate_cube(coefficient: CoefficientTensorField, face_data: VectorField,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Interior max-norm of grad(zeta) - G zeta with a per-axis breakdown."""
+    """Interior max-norm of grad(zeta) - G zeta; per_axis[j] is along grid axis j."""
 
     max_norm: float
     per_axis: tuple
@@ -336,13 +337,6 @@ def system_residual(zeta: VectorField, coefficient: CoefficientTensorField,
                      for j in range(zeta.grid.dim))
     max_norm = max(per_axis)
     return ResidualReport(max_norm, per_axis, float(tol), max_norm <= tol)
-
-
-def cuboid_mask(grid: GridSpec, lo, hi) -> np.ndarray:
-    """Boolean point mask of an index cuboid [lo, hi) per axis."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))] = True
-    return mask
 
 
 @dataclass(frozen=True)
@@ -421,28 +415,6 @@ def _count_components(mask: np.ndarray) -> int:
             parent, grand = grand, grand[grand]
 
 
-def _orient(values: np.ndarray, spatial_dim: int, axis: int, direction: int,
-            is_tensor: bool) -> np.ndarray:
-    """Move the propagation axis last (pointing forward); fix tensor columns.
-
-    The derivative-direction index of a coefficient tensor (its middle
-    component axis) transforms with the coordinates: it is permuted the same
-    way the spatial axes are, and the flipped axis changes sign.  The value
-    components themselves are not spatial and stay put.
-    """
-    if direction < 0:
-        values = np.flip(values, axis=axis)
-    perm = [k for k in range(spatial_dim) if k != axis] + [axis]
-    values = np.moveaxis(values, axis, spatial_dim - 1)
-    if is_tensor:
-        values = values[..., perm, :]
-        if direction < 0:
-            sign = np.ones(spatial_dim)
-            sign[-1] = -1.0
-            values = values * sign[:, None]
-    return np.ascontiguousarray(values)
-
-
 def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTensorField,
                     zeta: VectorField, *, tol: Optional[float] = None) -> CoverageReport:
     """Certify zeta == 0 on a voxel domain by a chain of covering cuboids.
@@ -452,7 +424,9 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
     zero set.  Each cuboid is checked, not propagated (zero face data
     propagates to exactly zero): its face data and zeta must vanish, and the
     full system residual must pass when the cuboid is thick enough for
-    interior stencils.
+    interior stencils.  seed is a boolean mask of the grid's shape, like
+    domain_mask.  Every record's residual is taken on the cuboid's block of
+    the grid as it lies, so its per_axis[j] is grid axis j.
     """
     grid = zeta.grid
     if coefficient.grid != grid:
@@ -460,11 +434,9 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
     domain = np.asarray(domain_mask, dtype=bool)
     if domain.shape != grid.shape:
         raise DimensionMismatch("domain mask shape must match the grid")
-    if isinstance(seed, np.ndarray):
-        seed_mask = seed.astype(bool)
-    else:
-        seed_mask = np.zeros(grid.shape, dtype=bool)
-        seed_mask[tuple(seed)] = True
+    seed_mask = np.asarray(seed, dtype=bool)
+    if seed_mask.shape != grid.shape:
+        raise DimensionMismatch("seed mask shape must match the grid")
     if not seed_mask.any():
         raise SeedOutsideDomain("seed region is empty")
     if np.any(seed_mask & ~domain):
@@ -562,17 +534,16 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
                     changed = True
 
         sub = region(bounds)
-        zeta_vals = _orient(zeta.values[sub], n, axis, direction, is_tensor=False)
-        oriented_shape = zeta_vals.shape[:-1]
-        face_max = float(np.max(np.abs(zeta_vals[..., 0, :])))
+        zeta_vals = zeta.values[sub]
+        face = np.take(zeta_vals, 0 if direction > 0 else -1, axis=axis)
+        face_max = float(np.max(np.abs(face)))
         zeta_max = float(np.max(np.abs(zeta_vals)))
         residual = None
-        if all(m >= 3 for m in oriented_shape):
-            sub_grid = GridSpec(oriented_shape, (0.0,) * n, grid.spacing)
-            coef_vals = _orient(coefficient.values[sub], n, axis, direction,
-                                is_tensor=True)
-            residual = system_residual(VectorField(sub_grid, zeta_vals),
-                                       CoefficientTensorField(sub_grid, coef_vals))
+        if all(m >= 3 for m in zeta_vals.shape[:-1]):
+            sub_grid = GridSpec(zeta_vals.shape[:-1], (0.0,) * n, grid.spacing)
+            residual = system_residual(
+                VectorField(sub_grid, zeta_vals),
+                CoefficientTensorField(sub_grid, coefficient.values[sub]))
 
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))
@@ -583,7 +554,7 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
             return CoverageReport(tuple(records), coverage(covered), float(tol),
                                   False,
                                   f"cuboid {len(records) - 1} at {record.bounds} failed")
-        covered |= cuboid_mask(grid, [b[0] for b in bounds], [b[1] for b in bounds])
+        covered[sub] = True
 
     return CoverageReport(tuple(records), 1.0, float(tol), True,
                           "domain covered; zeta vanishes at tolerance")

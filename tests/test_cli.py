@@ -305,6 +305,28 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", key)
 
+    @pytest.mark.parametrize("command, params", [
+        (["korn", "gp"], {}),
+        (["korn", "gp"], {"p_family": {"name": "rotation-valued"}}),
+        (["korn", "eig"], {"p_family": {"name": "graded-roughness"}}),
+        (["korn", "probe"], {}),
+        (["korn", "rigid"], {}),
+        (["transport", "propagate"], {}),
+        (["transport", "propagate"], {"face_value": [1.0, 0.5]}),
+        (["transport", "propagate"], {"case": "zero"}),
+    ], ids=["gp-identity", "gp-rotation", "eig-graded", "probe-identity", "rigid",
+            "propagate-exponential", "propagate-two-face-values", "propagate-zero"])
+    @pytest.mark.parametrize("shape", [[9, 9], [5, 5, 5, 5]], ids=["2d", "4d"])
+    def test_three_axis_experiments_name_shape(self, tmp_path, capsys, command,
+                                               params, shape):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**params, "shape": shape}))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "shape")
+        assert "shape must have 3 axes" in err["message"]
+
 
 class TestReports:
     def test_reports_embed_hash_seed_tolerance(self, tmp_path):

@@ -318,7 +318,7 @@ class TestFloodPropagate:
         assert "seed" in report.reason
 
     def test_seed_on_far_side_propagates_backwards(self):
-        # exercises the flipped-axis orientation path
+        # the cuboids grow against the direction of axis 2
         domain = np.ones(self.grid.shape, dtype=bool)
         seed = np.zeros(self.grid.shape, dtype=bool)
         seed[:, :, -2:] = True
@@ -342,6 +342,41 @@ class TestFloodPropagate:
         seed[:2] = True
         report = flood_propagate(domain, seed, coef, VectorField.zeros(grid, 2))
         assert report.passed
+
+
+    def test_backward_cuboid_residual_is_in_grid_axis_order(self):
+        # a non-zero field past the seed: the first cuboid grows backwards
+        # along axis 0 and fails, and its residual is the grid-frame one
+        rng = np.random.default_rng(11)
+        vals = rng.uniform(-1, 1, self.grid.shape + (3,))
+        vals[-2:] = 0.0
+        seed = np.zeros(self.grid.shape, dtype=bool)
+        seed[-2:] = True
+        domain = np.ones(self.grid.shape, dtype=bool)
+        report = flood_propagate(domain, seed, self.coef, VectorField(self.grid, vals))
+        rec = report.cuboids[0]
+        assert (rec.axis, rec.direction, rec.passed) == (0, -1, False)
+        sub = tuple(slice(lo, hi) for lo, hi in rec.bounds)
+        sub_grid = GridSpec(vals[sub].shape[:-1], (0.0,) * 3, self.grid.spacing)
+        expected = system_residual(VectorField(sub_grid, vals[sub]),
+                                   CoefficientTensorField(sub_grid, self.coef.values[sub]))
+        assert rec.residual.per_axis == expected.per_axis
+        assert rec.residual.max_norm == expected.max_norm
+        assert len(set(expected.per_axis)) == 3
+
+    @pytest.mark.parametrize("shape", [(13, 13, 1), (13,), (13, 13, 7, 1)],
+                             ids=["flat-last-axis", "one-axis", "extra-axis"])
+    def test_seed_mask_of_another_shape_is_refused(self, shape):
+        domain = np.ones(self.grid.shape, dtype=bool)
+        with pytest.raises(DimensionMismatch, match="seed mask shape"):
+            flood_propagate(domain, np.ones(shape, dtype=bool), self.coef, self.zero)
+
+    def test_seed_mask_may_be_nested_lists(self):
+        domain = np.ones(self.grid.shape, dtype=bool)
+        seed = self.seed_slab(axis=1)
+        from_lists = flood_propagate(domain, seed.tolist(), self.coef, self.zero)
+        assert from_lists == flood_propagate(domain, seed, self.coef, self.zero)
+        assert from_lists.cuboids[0].axis == 1
 
 
 class TestOrientation:
