@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, analytic, fieldio, korn, reporting, transport
-from .errors import ConfigError, GridTooLarge, KornKitError, UnknownKind
+from .errors import ConfigError, FaceMismatch, GridTooLarge, KornKitError, UnknownKind
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      curl_product_discrepancy, refinement_errors)
 from .korn import _is_real
@@ -211,8 +211,9 @@ def _face_on(cfg: RunConfig, key, grid):
     return face
 
 
-def _input_field(cfg: RunConfig, key, cls):
-    """The field that the file cfg[key] holds, which must be a cls."""
+def _input_field(cfg: RunConfig, key, cls, *, grid=None, dim=None, components=None):
+    """The field that the file cfg[key] holds: a cls, and where given, on grid,
+    with dim axes and with components components."""
     path = cfg[key]
     if path is None:
         raise ConfigError(f"{key} must name a field file", key=key)
@@ -224,6 +225,15 @@ def _input_field(cfg: RunConfig, key, cls):
         raise ConfigError(f"cannot load {key}: {exc}", key=key)
     if not isinstance(fld, cls):
         raise ConfigError(f"{key} must hold a {cls.__name__}", key=key)
+    if grid is not None and fld.grid != grid:
+        raise ConfigError(f"{key} must lie on the run's grid {grid}, got {fld.grid}",
+                          key=key)
+    if dim is not None and fld.grid.dim != dim:
+        raise ConfigError(f"{key} must lie on a {dim}-D grid, got {fld.grid.dim}-D",
+                          key=key)
+    if components is not None and fld.components != components:
+        raise ConfigError(f"{key} must hold {components}-component vectors, got "
+                          f"{fld.components}", key=key)
     return fld
 
 
@@ -233,7 +243,7 @@ def _p_field(cfg: RunConfig):
     A p_file brings its own grid along, so the grid keys beside it go unread.
     """
     if cfg["p_file"] is not None:
-        fld = _input_field(cfg, "p_file", MatrixField)
+        fld = _input_field(cfg, "p_file", MatrixField, dim=3)
         return fld, fld.grid, None
     grid = _grid(cfg, three_d=True)
     name, keywords = cfg["p_family"]
@@ -441,7 +451,14 @@ def _run_transport_propagate(cfg: RunConfig, rng):
             exact = np.zeros(grid.shape + (grid.dim,))
             residual_tol = cfg.tol or 1e-10
 
-    zeta = transport.propagate_cube(coef, face, steps)
+    try:
+        zeta = transport.propagate_cube(coef, face, steps)
+    except FaceMismatch as exc:
+        if case != "files":
+            raise
+        # the one check that is not the face's: room to propagate along g_file
+        key = "g_file" if grid.shape[-1] < 2 else "face_file"
+        raise ConfigError(f"{key} does not fit the run: {exc}", key=key)
     residual = transport.system_residual(zeta, coef, residual_tol)
     body = {"case": case, "steps": steps,
             "grid": {"shape": grid.shape, "spacing": grid.spacing},
@@ -458,10 +475,7 @@ def _run_transport_propagate(cfg: RunConfig, rng):
 
 def _run_transport_flood(cfg: RunConfig, rng):
     if cfg["mask_file"] is not None:
-        mask_field = _input_field(cfg, "mask_file", VectorField)
-        if mask_field.components != 1:
-            raise ConfigError("mask_file must hold a one-component field",
-                              key="mask_file")
+        mask_field = _input_field(cfg, "mask_file", VectorField, components=1)
         grid = mask_field.grid
         domain = mask_field.values[..., 0] > 0.5
         domain_kind = "mask_file"
@@ -489,16 +503,20 @@ def _run_transport_flood(cfg: RunConfig, rng):
     seed_mask[tuple(sl)] = True
     seed_mask &= domain
 
+    zeta = None
+    if cfg["zeta_file"] is not None:
+        zeta = _input_field(cfg, "zeta_file", VectorField, grid=grid,
+                            components=grid.dim)
+
     scale = cfg["coefficient_scale"]
     if scale == 0.0:
         coef = CoefficientTensorField.zeros(grid)
     else:
         vals = scale * rng.uniform(-1.0, 1.0, shape + (grid.dim,) * 3)
         coef = CoefficientTensorField(grid, vals)
-
-    if cfg["zeta_file"] is not None:
-        zeta = _input_field(cfg, "zeta_file", VectorField)
-    else:
+    if zeta is None:
+        # made after the coefficient, so it can reuse the memory of the
+        # coefficient's freed temporaries; made first, it raised peak RSS
         zeta = VectorField.zeros(grid, grid.dim)
 
     report = transport.flood_propagate(domain, seed_mask, coef, zeta, tol=cfg.tol)
@@ -585,11 +603,8 @@ def _run_korn_probe(cfg: RunConfig, rng):
 def _run_korn_rigid(cfg: RunConfig, rng):
     case = cfg["case"]
     if case == "files":
-        phi = _input_field(cfg, "phi_file", VectorField)
-        psi = _input_field(cfg, "psi_file", VectorField)
-        for key, fld in (("phi_file", phi), ("psi_file", psi)):
-            if fld.grid.dim != 3 or fld.components != 3:
-                raise ConfigError(f"{key} must hold 3-vectors on a 3-D grid", key=key)
+        phi = _input_field(cfg, "phi_file", VectorField, dim=3, components=3)
+        psi = _input_field(cfg, "psi_file", VectorField, grid=phi.grid, components=3)
         tol = cfg.tol or 1e-6
         true_axial = None
     else:
@@ -730,22 +745,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="group", required=True)
-
-    sub.add_parser("verify-curl", parents=[common])
-
-    transport_p = sub.add_parser("transport")
-    transport_sub = transport_p.add_subparsers(dest="command", required=True)
-    for name in ("propagate", "flood", "counterexample"):
-        transport_sub.add_parser(name, parents=[common])
-
-    korn_p = sub.add_parser("korn")
-    korn_sub = korn_p.add_subparsers(dest="command", required=True)
-    for name in ("eig", "probe", "rigid", "gp"):
-        korn_sub.add_parser(name, parents=[common])
-
-    algebra_p = sub.add_parser("algebra")
-    algebra_sub = algebra_p.add_subparsers(dest="command", required=True)
-    algebra_sub.add_parser("selftest", parents=[common])
+    # verify-curl is a command of its own; every other experiment is a group
+    # and a command, split at the first "-" of its name
+    groups = {}
+    for name in _EXPERIMENTS:
+        if name == "verify-curl":
+            sub.add_parser(name, parents=[common])
+            continue
+        group, command = name.split("-", 1)
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="command",
+                                                                 required=True)
+        groups[group].add_parser(command, parents=[common])
     return parser
 
 

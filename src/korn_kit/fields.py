@@ -312,10 +312,10 @@ def refinement_errors(error_fn, base_grid: GridSpec, levels: int = 2) -> Converg
                              tuple(float(error_fn(g)) for g in grids))
 
 
-def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
+def curl_product_discrepancy(x, y) -> float:
     """Interior max-norm gap between FD curl(X @ Y) and the pointwise formula.
 
-    x, y and curl_y_exact are MatrixFields, or any fields with a grid and a
+    x and y are MatrixFields, or any fields with a grid and a
     sample_planes(start, stop) that returns their values on planes [start,
     stop) of axis 0, such as an analytic family sampled lazily.  Each slab
     of interior planes sees one halo plane per side, and only its interior
@@ -330,8 +330,6 @@ def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
         raise DimensionMismatch("the curl-of-product identity lives on 3d grids")
     grid = x.grid
     _require_stencil_room(grid)
-    if curl_y_exact is not None and curl_y_exact.grid != grid:
-        raise DimensionMismatch("curl_y_exact must live on the same grid")
     last = grid.shape[0] - 1
     # the planes one serial slab holds, its two halo planes included; the
     # parts' slabs share them, so the working set is one serial slab's
@@ -345,7 +343,7 @@ def curl_product_discrepancy(x, y, curl_y_exact=None) -> float:
     # the planes [edge - 1, edge + 1) at each cut end one part and start the next
     x_cuts, y_cuts = ([None] + [f.sample_planes(e - 1, e + 1) for e in edges[1:-1]]
                       + [None] for f in (x, y))
-    parts_args = [(x, y, curl_y_exact,
+    parts_args = [(x, y,
                    [(start, min(start + planes, b)) for start in range(a, b, planes)],
                    x_cuts[p:p + 2], y_cuts[p:p + 2])
                   for p, (a, b) in enumerate(zip(edges, edges[1:]))]
@@ -392,21 +390,17 @@ def _in_threads(fn, args_list) -> list:
     return results
 
 
-def _part_gap(x, y, curl_y_exact, bounds, x_ends, y_ends) -> float:
+def _part_gap(x, y, bounds, x_ends, y_ends) -> float:
     """The gap over one part's slabs; x_ends and y_ends are its (head, tail)."""
     grid = x.grid
     h = grid.spacing
     inner = grid.interior()
     slab_max = []
-    for (start, stop), xs, ys in zip(bounds, _halo_slabs(x, bounds, *x_ends),
-                                     _halo_slabs(y, bounds, *y_ends)):
+    for xs, ys in zip(_halo_slabs(x, bounds, *x_ends), _halo_slabs(y, bounds, *y_ends)):
         lhs = _curl_rows(xs @ ys, h, _central)
-        if curl_y_exact is None:
-            curl_y = _curl_rows(ys, h, _central)
-        else:
-            curl_y = curl_y_exact.sample_planes(start, stop)[:, 1:-1, 1:-1]
         rhs = algebra.curl_product_pointwise(_entry_gradients(xs, h, _central),
-                                             xs[inner], ys[inner], curl_y)
+                                             xs[inner], ys[inner],
+                                             _curl_rows(ys, h, _central))
         slab_max.append(np.max(np.abs(lhs - rhs)))
     return float(np.max(slab_max))
 

@@ -367,19 +367,22 @@ class CoverageReport:
         return len(self.cuboids)
 
 
-def _shifted(mask: np.ndarray, axis: int, direction: int) -> np.ndarray:
-    """Mask of points whose neighbor at -direction along axis is set."""
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if direction > 0:
-        src[axis] = slice(0, -1)
-        dst[axis] = slice(1, None)
-    else:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-    out[tuple(dst)] = mask[tuple(src)]
-    return out
+def _frontier(domain: np.ndarray, covered: np.ndarray):
+    """(axis, direction, point) of the first uncovered domain point, in C order,
+    whose neighbour at -direction along axis is covered; axes are tried in
+    order, +1 before -1.  None when there is no such point."""
+    uncovered = domain & ~covered
+    for axis in range(domain.ndim):
+        for direction in (1, -1):
+            # a point and its neighbour at -direction: one step apart along axis
+            lead = (slice(None),) * axis
+            ahead, behind = (slice(1, None), slice(None, -1))[::direction]
+            hits = uncovered[lead + (ahead,)] & covered[lead + (behind,)]
+            if hits.any():
+                point = [int(i) for i in np.unravel_index(hits.argmax(), hits.shape)]
+                point[axis] += direction > 0
+                return axis, direction, tuple(point)
+    return None
 
 
 def _count_components(mask: np.ndarray) -> int:
@@ -445,114 +448,67 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
     if n_components != 1:
         raise DisconnectedDomain(f"domain mask has {n_components} components")
 
-    n = grid.dim
     seed_scale = float(np.max(np.abs(zeta.values[seed_mask])))
     if tol is None:
         tol = 1e-10 * (1.0 + seed_scale)
+    covered = seed_mask.copy()
+    n_domain = np.count_nonzero(domain)
+    if seed_scale > tol:
+        return CoverageReport((), float(np.count_nonzero(covered) / n_domain), float(tol),
+                              False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
 
     records = []
+    # on a connected domain, a frontier exists until the domain is covered
+    while (frontier := _frontier(domain, covered)) is not None:
+        axis, direction, point = frontier
+        c = point[axis]
+        # base slab: the run of covered layers behind the point, at most
+        # _BASE_SLAB and at least the frontier's one; the back face never moves,
+        # so neither does the slab
+        line = covered[point[:axis] + (slice(None),) + point[axis + 1:]]
+        back = (line[c - 1::-1] if direction > 0 else line[c + 1:])[:_BASE_SLAB]
+        depth = len(back) if back.all() else int(back.argmin())
+        slab = [c - depth, c] if direction > 0 else [c + 1, c + 1 + depth]
+        box = [[p, p + 1] for p in point]
+        box[axis] = [min(c, slab[0]), max(c + 1, slab[1])]
 
-    def coverage(covered_mask):
-        return float(np.count_nonzero(covered_mask & domain)
-                     / np.count_nonzero(domain))
-
-    if seed_scale > tol:
-        return CoverageReport((), coverage(seed_mask), float(tol), False,
-                              f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
-
-    covered = seed_mask & domain
-
-    while True:
-        uncovered = domain & ~covered
-        if not uncovered.any():
-            break
-        pick = None
-        for axis in range(n):
-            for direction in (1, -1):
-                frontier = uncovered & _shifted(covered, axis, direction)
-                if frontier.any():
-                    point = tuple(int(c) for c in np.argwhere(frontier)[0])
-                    pick = (axis, direction, point)
-                    break
-            if pick:
-                break
-        if pick is None:
-            # cannot happen on a connected domain with a non-empty seed
-            return CoverageReport(tuple(records), coverage(covered), float(tol),
-                                  False, "no frontier found on a connected domain")
-        axis, direction, point = pick
-
-        bounds = [[c, c + 1] for c in point]
-        # base slab: covered layers behind the frontier point
-        depth = 0
-        while depth < _BASE_SLAB:
-            nxt = point[axis] - (depth + 1) * direction
-            if nxt < 0 or nxt >= grid.shape[axis]:
-                break
-            probe = list(point)
-            probe[axis] = nxt
-            if not covered[tuple(probe)]:
-                break
-            depth += 1
-        if direction > 0:
-            bounds[axis][0] = point[axis] - depth
-        else:
-            bounds[axis][1] = point[axis] + depth + 1
-
-        def region(bnds):
-            return tuple(slice(lo, hi) for lo, hi in bnds)
-
-        def slab_region(bnds):
-            s = list(region(bnds))
-            if direction > 0:
-                s[axis] = slice(bnds[axis][0], bnds[axis][0] + depth)
-            else:
-                s[axis] = slice(bnds[axis][1] - depth, bnds[axis][1])
-            return tuple(s)
-
-        changed = True
-        while changed:
-            changed = False
-            for ax in range(n):
+        # the box lies in the domain and its slab is covered, so a growth step
+        # tests only the layer it adds: in the domain, and covered beside the slab
+        grown = True
+        while grown:
+            grown = False
+            for ax in range(grid.dim):
                 for d in (1, -1):
-                    if ax == axis and d == -direction:
-                        continue  # the base slab already fixes that side
-                    trial = [list(pair) for pair in bounds]
-                    if d > 0:
-                        if trial[ax][1] >= grid.shape[ax]:
-                            continue
-                        trial[ax][1] += 1
-                    else:
-                        if trial[ax][0] <= 0:
-                            continue
-                        trial[ax][0] -= 1
-                    if not domain[region(trial)].all():
+                    edge = box[ax][1] if d > 0 else box[ax][0] - 1
+                    if (ax == axis and d == -direction) or not 0 <= edge < grid.shape[ax]:
                         continue
-                    if depth > 0 and not covered[slab_region(trial)].all():
-                        continue
-                    bounds = trial
-                    changed = True
+                    added = box[:ax] + [[edge, edge + 1]] + box[ax + 1:]
+                    beside = added[:axis] + [slab] + added[axis + 1:]
+                    if (domain[tuple(slice(*r) for r in added)].all()
+                            and (ax == axis or covered[tuple(slice(*r) for r in beside)].all())):
+                        box[ax] = [min(box[ax][0], edge), max(box[ax][1], edge + 1)]
+                        grown = True
 
-        sub = region(bounds)
+        sub = tuple(slice(*r) for r in box)
         zeta_vals = zeta.values[sub]
         face = np.take(zeta_vals, 0 if direction > 0 else -1, axis=axis)
         face_max = float(np.max(np.abs(face)))
         zeta_max = float(np.max(np.abs(zeta_vals)))
         residual = None
         if all(m >= 3 for m in zeta_vals.shape[:-1]):
-            sub_grid = GridSpec(zeta_vals.shape[:-1], (0.0,) * n, grid.spacing)
+            sub_grid = GridSpec(zeta_vals.shape[:-1], (0.0,) * grid.dim, grid.spacing)
             residual = system_residual(
                 VectorField(sub_grid, zeta_vals),
                 CoefficientTensorField(sub_grid, coefficient.values[sub]))
 
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))
-        record = CuboidRecord(tuple((lo, hi) for lo, hi in bounds), axis, direction,
+        record = CuboidRecord(tuple((lo, hi) for lo, hi in box), axis, direction,
                               face_max, zeta_max, residual, passed)
         records.append(record)
         if not passed:
-            return CoverageReport(tuple(records), coverage(covered), float(tol),
-                                  False,
+            return CoverageReport(tuple(records), float(np.count_nonzero(covered) / n_domain),
+                                  float(tol), False,
                                   f"cuboid {len(records) - 1} at {record.bounds} failed")
         covered[sub] = True
 

@@ -785,3 +785,75 @@ class TestParameterTables:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["key"]) == ("ConfigError", "p_file")
+
+    @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+    def test_every_experiment_parses_back_to_its_name(self, monkeypatch, name):
+        seen = []
+
+        def record(experiment, *args, **kwargs):
+            seen.append(experiment)
+            raise ConfigError("stop before the run")
+
+        monkeypatch.setattr(cli, "load_config", record)
+        argv = [name] if name == "verify-curl" else name.split("-", 1)
+        assert run_cli(argv) == 2
+        assert seen == [name]
+
+
+def _write_input_fields(tmp_path):
+    """Field files beside the runs' default grids, each of which does not fit."""
+    cube17 = GridSpec((17,) * 3, (0.0,) * 3, 1.0 / 17)
+    cube9 = GridSpec((9,) * 3, (0.0,) * 3, 1.0 / 8)
+    block = GridSpec((6, 6, 8), (0.0,) * 3, 0.125)
+    save = fieldio.save_field
+    save(tmp_path / "scalar17.kfk", VectorField.zeros(cube17, 1))
+    save(tmp_path / "vector9.kfk", VectorField.zeros(cube9, 3))
+    save(tmp_path / "vector7.kfk",
+         VectorField.zeros(GridSpec((7,) * 3, (0.0,) * 3, 1.0 / 6), 3))
+    save(tmp_path / "g.kfk", CoefficientTensorField.zeros(block))
+    save(tmp_path / "other_face.kfk",
+         VectorField.zeros(GridSpec((5, 6, 8), (0.0,) * 3, 0.125).face(-1), 3))
+    save(tmp_path / "pair_face.kfk", VectorField.zeros(block.face(-1), 2))
+    thin = GridSpec((6, 6, 1), (0.0,) * 3, 0.125)
+    save(tmp_path / "thin_g.kfk", CoefficientTensorField.zeros(thin))
+    save(tmp_path / "thin_face.kfk", VectorField.zeros(thin.face(-1), 3))
+    save(tmp_path / "plane_p.kfk",
+         MatrixField.constant(GridSpec((9, 9), (0.0,) * 2, 0.125), np.eye(2)))
+
+
+class TestInputFilesFitTheRun:
+    """A field file that does not fit its run is refused, naming its key."""
+
+    @pytest.mark.parametrize("command, params, key", [
+        (["transport", "flood"], {"zeta_file": "scalar17.kfk"}, "zeta_file"),
+        (["transport", "flood"], {"zeta_file": "vector9.kfk"}, "zeta_file"),
+        (["transport", "propagate"], {"case": "files", "g_file": "g.kfk",
+                                      "face_file": "other_face.kfk"}, "face_file"),
+        (["transport", "propagate"], {"case": "files", "g_file": "g.kfk",
+                                      "face_file": "pair_face.kfk"}, "face_file"),
+        (["transport", "propagate"], {"case": "files", "g_file": "thin_g.kfk",
+                                      "face_file": "thin_face.kfk"}, "g_file"),
+        (["korn", "rigid"], {"case": "files", "phi_file": "vector9.kfk",
+                             "psi_file": "vector7.kfk"}, "psi_file"),
+        (["korn", "eig"], {"p_file": "plane_p.kfk"}, "p_file"),
+        (["korn", "probe"], {"p_file": "plane_p.kfk", "gamma": "none"}, "p_file"),
+        (["korn", "gp"], {"p_file": "plane_p.kfk"}, "p_file"),
+    ], ids=["flood-one-component-zeta", "flood-zeta-on-another-grid",
+            "propagate-face-on-another-grid", "propagate-two-component-face",
+            "propagate-one-point-along-the-last-axis",
+            "rigid-psi-on-another-grid", "eig-2d-p", "probe-2d-p", "gp-2d-p"])
+    def test_misfit_file_names_its_key(self, tmp_path, capsys, monkeypatch, command,
+                                       params, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the flood started")
+
+        monkeypatch.setattr(cli.transport, "flood_propagate", refuse)
+        _write_input_fields(tmp_path)
+        params = {k: str(tmp_path / v) if k.endswith("_file") else v
+                  for k, v in params.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", key)

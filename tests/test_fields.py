@@ -225,14 +225,13 @@ class _PlaneCounter:
         return self.lazy.sample_planes(start, stop)
 
 
-def _single_pass_gap(x, y, curl_y=None):
+def _single_pass_gap(x, y):
     """The discrepancy from whole-grid differences and one pointwise call."""
     inner = x.grid.interior()
     lhs = fd_curl_rowwise(MatrixField(x.grid, x.values @ y.values))
-    curl_y = fd_curl_rowwise(y) if curl_y is None else curl_y
     rhs = algebra.curl_product_pointwise(
         fd_entry_gradients(x)[inner], x.values[inner], y.values[inner],
-        curl_y.values[inner])
+        fd_curl_rowwise(y).values[inner])
     return float(np.max(np.abs(lhs.values[inner] - rhs)))
 
 
@@ -260,14 +259,6 @@ class TestVerifyCurlProduct:
         report = refinement_errors(err, unit_grid(9), levels=3)
         assert report.min_order >= 1.9
 
-    def test_exact_curl_input(self):
-        g = unit_grid(9)
-        x = analytic.random_polynomial_matrix(7, per_axis_degree=1)
-        y = analytic.random_trig_matrix(8, wavenumber=1.0)
-        with_exact = curl_product_discrepancy(x.sample(g), y.sample(g),
-                                              y.sample_curl(g))
-        assert np.isfinite(with_exact)
-
     def test_slabs_match_single_pass(self):
         g = unit_grid(33)
         # the 31 interior planes do not fit in one slab
@@ -291,24 +282,14 @@ class TestVerifyCurlProduct:
                                         analytic.LazyMatrixSample(y_case, g))
         assert lazy == curl_product_discrepancy(x, y) == _single_pass_gap(x, y)
 
-    def test_exact_curl_sliced_per_slab(self):
-        g = GridSpec((40, 33, 29), (0.1, -0.2, 0.3), 0.03)
-        assert fields._SLAB_POINTS // (33 * 29) < 38
-        x = analytic.random_polynomial_matrix(7, per_axis_degree=2).sample(g)
-        y_case = analytic.random_trig_matrix(8, wavenumber=2.0)
-        y, curl_y = y_case.sample(g), y_case.sample_curl(g)
-        assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
-
     @pytest.mark.parametrize("shape", [(3, 5, 7), (9, 5, 5), (10, 65, 65)],
-                             ids=["one-plane", "one-slab", "last-slab-one-plane"])
-    @pytest.mark.parametrize("exact_curl", [False, True], ids=["fd-curl", "exact-curl"])
-    def test_equals_single_pass(self, shape, exact_curl):
+                             ids=["fd-curl-one-plane", "fd-curl-one-slab",
+                                  "fd-curl-last-slab-one-plane"])
+    def test_equals_single_pass(self, shape):
         g = GridSpec(shape, (0.2, -0.1, 0.3), 0.05)
         x = analytic.random_trig_matrix(15, wavenumber=2.0).sample(g)
-        y_case = analytic.random_trig_matrix(16, wavenumber=2.0)
-        y = y_case.sample(g)
-        curl_y = y_case.sample_curl(g) if exact_curl else None
-        assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
+        y = analytic.random_trig_matrix(16, wavenumber=2.0).sample(g)
+        assert curl_product_discrepancy(x, y) == _single_pass_gap(x, y)
 
     def test_last_slab_holds_one_plane(self):
         # the (10, 65, 65) case above: 8 interior planes in slabs of 7
@@ -331,10 +312,9 @@ class TestVerifyCurlProduct:
         g = unit_grid(9)
         x_case = analytic.random_trig_matrix(19, wavenumber=2.0)
         y_case = analytic.random_trig_matrix(20, wavenumber=2.0)
-        x, y, curl_y = x_case.sample(g), y_case.sample(g), y_case.sample_curl(g)
+        x, y = x_case.sample(g), y_case.sample(g)
         monkeypatch.setattr(fields.np, "gradient", refuse)
         assert np.isfinite(curl_product_discrepancy(x, y))
-        assert np.isfinite(curl_product_discrepancy(x, y, curl_y))
         assert np.isfinite(curl_product_discrepancy(
             analytic.LazyMatrixSample(x_case, g), analytic.LazyMatrixSample(y_case, g)))
 
@@ -406,18 +386,14 @@ class TestPartedCheck:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(3, 5, 7), (9, 5, 5), (10, 65, 65), (40, 33, 29)],
-                             ids=["one-plane", "one-slab", "last-slab-one-plane",
-                                  "many-slabs"])
-    @pytest.mark.parametrize("exact_curl", [False, True], ids=["fd-curl", "exact-curl"])
-    def test_equals_single_pass_for_every_part_count(self, monkeypatch, cpus, shape,
-                                                     exact_curl):
+                             ids=["fd-curl-one-plane", "fd-curl-one-slab",
+                                  "fd-curl-last-slab-one-plane", "fd-curl-many-slabs"])
+    def test_equals_single_pass_for_every_part_count(self, monkeypatch, cpus, shape):
         _force_cpus(monkeypatch, cpus)
         g = GridSpec(shape, (0.2, -0.1, 0.3), 0.05)
         x = analytic.random_trig_matrix(15, wavenumber=2.0).sample(g)
-        y_case = analytic.random_trig_matrix(16, wavenumber=2.0)
-        y = y_case.sample(g)
-        curl_y = y_case.sample_curl(g) if exact_curl else None
-        assert curl_product_discrepancy(x, y, curl_y) == _single_pass_gap(x, y, curl_y)
+        y = analytic.random_trig_matrix(16, wavenumber=2.0).sample(g)
+        assert curl_product_discrepancy(x, y) == _single_pass_gap(x, y)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_every_plane_sampled_once_for_every_split(self, monkeypatch, cpus):

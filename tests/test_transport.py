@@ -379,6 +379,92 @@ class TestFloodPropagate:
         assert from_lists.cuboids[0].axis == 1
 
 
+def _ball(n, dim):
+    """Points of an n^dim grid within (n - 1) / 2 index units of its centre."""
+    idx = np.arange(n) - (n - 1) / 2.0
+    return sum(c ** 2 for c in np.meshgrid(*[idx] * dim, indexing="ij")) \
+        <= ((n - 1) / 2.0) ** 2
+
+
+def _chain_domains(dim):
+    shape = (13, 11, 7)[:dim]
+    box = np.ones(shape, dtype=bool)
+    l_shape = np.zeros(shape, dtype=bool)
+    l_shape[:, :5] = True
+    l_shape[:5] = True
+    cut_corner = box.copy()
+    cut_corner[tuple(slice(n // 2, None) for n in shape)] = False
+    walk = np.zeros(shape, dtype=bool)
+    rng = np.random.default_rng(17)
+    point = np.array(shape) // 2
+    for _ in range(150):
+        walk[tuple(point)] = True
+        axis = rng.integers(dim)
+        point[axis] = np.clip(point[axis] + rng.choice((-1, 1)), 0, shape[axis] - 1)
+    return {"box": box, "l-shape": l_shape, "cut-corner": cut_corner,
+            "ball": _ball(21, dim), "random-walk": walk}
+
+
+def _face_seed(domain, side):
+    """The domain's points on its first (side 0) or last two layers along axis 0."""
+    layers = np.flatnonzero(domain.any(axis=tuple(range(1, domain.ndim))))
+    keep = layers[:2] if side == 0 else layers[-2:]
+    seed = np.zeros_like(domain)
+    seed[keep] = domain[keep]
+    return seed
+
+
+class TestCoveringChain:
+    """Each cuboid meets the zero set reached before it through its back face."""
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["near", "far"])
+    @pytest.mark.parametrize("name", ["box", "l-shape", "cut-corner", "ball",
+                                      "random-walk"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_cuboid_grows_from_covered_points(self, dim, name, side):
+        domain = _chain_domains(dim)[name]
+        assert _count_components(domain) == 1
+        grid = GridSpec(domain.shape, (0.0,) * dim, 0.1)
+        rng = np.random.default_rng(dim)
+        coef = CoefficientTensorField(grid, rng.uniform(-1, 1, grid.shape + (dim,) * 3))
+        seed = _face_seed(domain, side)
+        report = flood_propagate(domain, seed, coef, VectorField.zeros(grid, dim))
+        assert report.passed and report.covered_fraction == 1.0
+        covered = seed.copy()
+        for rec in report.cuboids:
+            box = [slice(lo, hi) for lo, hi in rec.bounds]
+            assert domain[tuple(box)].all()
+            lo, hi = rec.bounds[rec.axis]
+            back = lo if rec.direction > 0 else hi - 1
+            box[rec.axis] = slice(back, back + 1)
+            assert covered[tuple(box)].all()
+            covered[tuple(slice(lo, hi) for lo, hi in rec.bounds)] = True
+        assert np.array_equal(covered, domain)
+
+    @pytest.mark.parametrize("shape", [(9, 9, 1), (1, 9, 9), (9, 1)])
+    def test_axis_of_one_point(self, shape):
+        # no point has a neighbour along that axis, so no frontier lies along it
+        grid = GridSpec(shape, (0.0,) * len(shape), 0.125)
+        domain = np.ones(shape, dtype=bool)
+        seed = np.zeros(shape, dtype=bool)
+        seed[tuple(slice(0, 2) if n > 1 else slice(None) for n in shape)] = True
+        report = flood_propagate(domain, seed, CoefficientTensorField.zeros(grid),
+                                 VectorField.zeros(grid, len(shape)))
+        assert report.passed and report.covered_fraction == 1.0
+        assert all(shape[rec.axis] > 1 for rec in report.cuboids)
+
+    def test_flood_ball_cuboid_count(self):
+        # the benchmark's flood: the 21^3 ball seeded on two layers of axis 0
+        domain = _ball(21, 3)
+        seed = np.zeros_like(domain)
+        seed[:2] = domain[:2]
+        grid = GridSpec(domain.shape, (0.0,) * 3, 1.0 / 20)
+        coef = CoefficientTensorField.zeros(grid)
+        report = flood_propagate(domain, seed, coef, VectorField.zeros(grid, 3))
+        assert report.passed
+        assert report.n_cuboids == 126
+
+
 class TestOrientation:
     def test_oriented_propagation_matches_exact_solution(self):
         # exponential growth along axis 0, seed on the max side: solution
