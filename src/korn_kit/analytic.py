@@ -65,9 +65,6 @@ class AnalyticMatrixField:
     def sample(self, grid: GridSpec) -> MatrixField:
         return MatrixField(grid, self.value(grid.points()))
 
-    def sample_curl(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.curl(grid.points()))
-
 
 @dataclass(frozen=True)
 class LazyMatrixSample:

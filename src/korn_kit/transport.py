@@ -12,7 +12,11 @@ Voxel domains are covered by overlapping axis-aligned cuboids grown
 greedily from a zero seed region given as a mask.  Each cuboid is checked
 on its own block of the grid arrays by its zero face data, zeta_max and
 the full-system residual, not by propagation: RK4 on zero face data of a
-linear system returns exactly zero.
+linear system returns exactly zero.  The residual is built once per flood
+at the interior grid points, and each cuboid reads the block of its own
+interior points, where the central differences are the cuboid's own.  A
+growth side whose added layer fails is dropped for the rest of its cuboid,
+because no later layer on that side can pass.
 
 The coefficient G is a CoefficientTensorField, defined in fields next to
 the vector and matrix fields and importable from here as well.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import (DisconnectedDomain, DimensionMismatch, FaceMismatch,
                      NonFiniteCoefficient, NotIntegrable, SeedOutsideDomain)
-from .fields import CoefficientTensorField, GridSpec, VectorField, fd_grad
+from .fields import CoefficientTensorField, VectorField, _require_stencil_room
 
 # adaptive quadrature of coefficient norms (see integrate_norm)
 QUAD_VALUE_CAP = 1e6
@@ -326,17 +330,57 @@ class ResidualReport:
     passed: bool
 
 
+def _residual_by_axis(zeta: VectorField, coefficient: CoefficientTensorField) -> np.ndarray:
+    """max over i of |d_j zeta_i - (G zeta)_ij| at every interior grid point.
+
+    Entry [..., j] of the result belongs to the grid point one index further
+    along every axis.  The derivative there is the central difference
+    (f[+1] - f[-1]) / (2h), the expression np.gradient (and so fd_grad) uses
+    at interior points, and G zeta is CoefficientTensorField.apply's einsum,
+    so each entry equals the whole-grid one of fd_grad(zeta) - G zeta bit
+    for bit, and so does its max over any block.  The work goes one plane of
+    axis 0 at a time, so no dim x dim array per grid point is made.
+    """
+    grid = zeta.grid
+    _require_stencil_room(grid)
+    n = grid.dim
+    if zeta.components != n:
+        raise DimensionMismatch(
+            f"the residual needs {n} components on a {n}d grid, got {zeta.components}")
+    z, g = zeta.values, coefficient.values
+    inner = (slice(1, -1),) * (n - 1)
+    # (ahead, behind): a plane's interior points moved along axis 1, 2, ...
+    shifts = []
+    for j in range(1, n):
+        ahead, behind = list(inner), list(inner)
+        ahead[j - 1], behind[j - 1] = slice(2, None), slice(None, -2)
+        shifts.append((tuple(ahead), tuple(behind)))
+    two_h = 2. * grid.spacing
+    out = np.empty(tuple(m - 2 for m in grid.shape) + (n,))
+    for p in range(1, grid.shape[0] - 1):
+        row = np.empty(out.shape[1:-1] + (n, n))
+        row[..., 0] = (z[p + 1][inner] - z[p - 1][inner]) / two_h
+        for j, (ahead, behind) in enumerate(shifts, 1):
+            row[..., j] = (z[p][ahead] - z[p][behind]) / two_h
+        row -= np.einsum("...ijk,...k->...ij", g[p][inner], z[p][inner])
+        np.abs(row, out=row)
+        np.max(row, axis=-2, out=out[p - 1])
+    return out
+
+
+def _residual_report(by_axis: np.ndarray, tol: float) -> ResidualReport:
+    """The report of a block of _residual_by_axis: its max per grid axis."""
+    per_axis = tuple(float(v) for v in np.max(by_axis, axis=tuple(range(by_axis.ndim - 1))))
+    max_norm = max(per_axis)
+    return ResidualReport(max_norm, per_axis, float(tol), max_norm <= tol)
+
+
 def system_residual(zeta: VectorField, coefficient: CoefficientTensorField,
                     tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Check the full first-order system, not just the propagated direction."""
     if zeta.grid != coefficient.grid:
         raise DimensionMismatch("zeta and coefficient must share a grid")
-    residual = fd_grad(zeta).values - coefficient.apply(zeta).values
-    inner = zeta.grid.interior()
-    per_axis = tuple(float(np.max(np.abs(residual[inner][..., :, j])))
-                     for j in range(zeta.grid.dim))
-    max_norm = max(per_axis)
-    return ResidualReport(max_norm, per_axis, float(tol), max_norm <= tol)
+    return _residual_report(_residual_by_axis(zeta, coefficient), tol)
 
 
 @dataclass(frozen=True)
@@ -430,6 +474,14 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
     interior stencils.  seed is a boolean mask of the grid's shape, like
     domain_mask.  Every record's residual is taken on the cuboid's block of
     the grid as it lies, so its per_axis[j] is grid axis j.
+
+    The residual is built once for the grid's interior points; a cuboid
+    reads the block of its own interior points, where its central
+    differences are the grid's, so the record is the one its block alone
+    would give.  A growth side whose added layer fails, or whose edge
+    leaves the grid, is not tried again for that cuboid: its edge stays put
+    and the other axes only widen, so each later layer on that side holds
+    the failed one, while the slab and the covered set stay fixed.
     """
     grid = zeta.grid
     if coefficient.grid != grid:
@@ -457,6 +509,8 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         return CoverageReport((), float(np.count_nonzero(covered) / n_domain), float(tol),
                               False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
 
+    # only a cuboid 3 points thick on every axis has a residual; a thinner grid has none
+    by_axis = _residual_by_axis(zeta, coefficient) if min(grid.shape) >= 3 else None
     records = []
     # on a connected domain, a frontier exists until the domain is covered
     while (frontier := _frontier(domain, covered)) is not None:
@@ -473,21 +527,23 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         box[axis] = [min(c, slab[0]), max(c + 1, slab[1])]
 
         # the box lies in the domain and its slab is covered, so a growth step
-        # tests only the layer it adds: in the domain, and covered beside the slab
-        grown = True
-        while grown:
-            grown = False
-            for ax in range(grid.dim):
-                for d in (1, -1):
-                    edge = box[ax][1] if d > 0 else box[ax][0] - 1
-                    if (ax == axis and d == -direction) or not 0 <= edge < grid.shape[ax]:
-                        continue
-                    added = box[:ax] + [[edge, edge + 1]] + box[ax + 1:]
-                    beside = added[:axis] + [slab] + added[axis + 1:]
-                    if (domain[tuple(slice(*r) for r in added)].all()
-                            and (ax == axis or covered[tuple(slice(*r) for r in beside)].all())):
-                        box[ax] = [min(box[ax][0], edge), max(box[ax][1], edge + 1)]
-                        grown = True
+        # tests only the layer it adds: in the domain, and covered beside the
+        # slab; a side that fails once is dropped (see the docstring)
+        sides = [(ax, d) for ax in range(grid.dim) for d in (1, -1)
+                 if not (ax == axis and d == -direction)]
+        while sides:
+            live = []
+            for ax, d in sides:
+                edge = box[ax][1] if d > 0 else box[ax][0] - 1
+                if not 0 <= edge < grid.shape[ax]:
+                    continue
+                added = box[:ax] + [[edge, edge + 1]] + box[ax + 1:]
+                beside = added[:axis] + [slab] + added[axis + 1:]
+                if (domain[tuple(slice(*r) for r in added)].all()
+                        and (ax == axis or covered[tuple(slice(*r) for r in beside)].all())):
+                    box[ax] = [min(box[ax][0], edge), max(box[ax][1], edge + 1)]
+                    live.append((ax, d))
+            sides = live
 
         sub = tuple(slice(*r) for r in box)
         zeta_vals = zeta.values[sub]
@@ -496,10 +552,8 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         zeta_max = float(np.max(np.abs(zeta_vals)))
         residual = None
         if all(m >= 3 for m in zeta_vals.shape[:-1]):
-            sub_grid = GridSpec(zeta_vals.shape[:-1], (0.0,) * grid.dim, grid.spacing)
-            residual = system_residual(
-                VectorField(sub_grid, zeta_vals),
-                CoefficientTensorField(sub_grid, coefficient.values[sub]))
+            residual = _residual_report(
+                by_axis[tuple(slice(lo, hi - 2) for lo, hi in box)], RESIDUAL_TOL)
 
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))

@@ -857,3 +857,33 @@ class TestInputFilesFitTheRun:
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err.get("key")) == ("ConfigError", key)
+
+
+class TestThinPropagateGrid:
+    """transport propagate needs 3 points along every axis for its residual
+    check, and refuses a thinner grid before propagating, naming its key."""
+
+    @pytest.mark.parametrize("params, key", [
+        ({"case": "zero", "shape": [9, 9, 1]}, "shape"),
+        ({"case": "zero", "shape": [9, 9, 2]}, "shape"),
+        ({"case": "exponential", "shape": [2, 9, 9]}, "shape"),
+        ({"case": "files", "g_file": "g.kfk", "face_file": "face.kfk"}, "g_file"),
+    ], ids=["one-point-last-axis", "two-points-last-axis", "two-points-first-axis",
+            "g-file-two-points-last-axis"])
+    def test_thin_grid_names_its_key(self, tmp_path, capsys, monkeypatch, params, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the propagation started")
+
+        monkeypatch.setattr(cli.transport, "propagate_cube", refuse)
+        thin = GridSpec((6, 6, 2), (0.0,) * 3, 0.125)
+        fieldio.save_field(tmp_path / "g.kfk", CoefficientTensorField.zeros(thin))
+        fieldio.save_field(tmp_path / "face.kfk", VectorField.zeros(thin.face(-1), 3))
+        params = {k: str(tmp_path / v) if k.endswith("_file") else v
+                  for k, v in params.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(["transport", "propagate", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", key)

@@ -189,6 +189,24 @@ class TestFdCurl:
             assert residual <= 1e-12
             assert residual <= g.spacing ** 2
 
+    def test_exact_on_per_axis_degree_one_polynomials(self):
+        # second-order stencils, one-sided ones included, differentiate every
+        # entry exactly, so the analytic curl is met at every point
+        case = analytic.random_polynomial_matrix(4, per_axis_degree=1)
+        g = unit_grid(6)
+        curl = fd_curl_rowwise(case.sample(g))
+        assert np.max(np.abs(curl.values - case.curl(g.points()))) <= 1e-12
+
+    def test_converges_to_the_analytic_curl_at_second_order(self):
+        case = analytic.random_trig_matrix(5, wavenumber=2.0)
+
+        def error(g):
+            curl = fd_curl_rowwise(case.sample(g))
+            return np.max(np.abs(curl.values - case.curl(g.points())))
+
+        report = refinement_errors(error, unit_grid(9), levels=2)
+        assert 1.9 <= report.min_order <= 2.1
+
 
 class TestEntryGradients:
     def test_matches_componentwise_gradient(self):

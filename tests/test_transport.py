@@ -16,6 +16,7 @@ from korn_kit.transport import (CoefficientTensorField, LineCoefficient,
                                 gronwall_bound, integrate_line, integrate_norm,
                                 propagate_cube, system_residual)
 from korn_kit.transport import _count_components
+from reference_covering import reference_flood
 
 
 def bounded_coefficient(seed, dim=3, interval=(0.0, 1.0)):
@@ -463,6 +464,55 @@ class TestCoveringChain:
         report = flood_propagate(domain, seed, coef, VectorField.zeros(grid, 3))
         assert report.passed
         assert report.n_cuboids == 126
+
+
+def _chain_flood(dim, name, side, zeta_kind):
+    """A flood over one of _chain_domains, with zero or seeded 1e-13-noise zeta."""
+    domain = _chain_domains(dim)[name]
+    grid = GridSpec(domain.shape, (0.0,) * dim, 0.1)
+    rng = np.random.default_rng(dim)
+    coef = CoefficientTensorField(grid, rng.uniform(-1, 1, grid.shape + (dim,) * 3))
+    vals = np.zeros(grid.shape + (dim,))
+    if zeta_kind == "noise":
+        vals = 1e-13 * np.random.default_rng(23).standard_normal(vals.shape)
+    return domain, _face_seed(domain, side), coef, VectorField(grid, vals)
+
+
+class TestCoveringMatchesReference:
+    """The covering equals the reference loop, which tries every growth side
+    until a pass adds nothing and differences each cuboid's block anew."""
+
+    @pytest.mark.parametrize("zeta_kind", ["zero", "noise"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["near", "far"])
+    @pytest.mark.parametrize("name", ["box", "l-shape", "cut-corner", "ball",
+                                      "random-walk"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_reference_loop(self, dim, name, side, zeta_kind):
+        domain, seed, coef, zeta = _chain_flood(dim, name, side, zeta_kind)
+        report = flood_propagate(domain, seed, coef, zeta)
+        assert report == reference_flood(domain, seed, coef, zeta)
+        assert report.passed
+        residuals = [rec.residual.max_norm for rec in report.cuboids
+                     if rec.residual is not None]
+        # the noise leaves no residual at zero, so the values are compared too
+        assert all((r > 0.0) == (zeta_kind == "noise") for r in residuals)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_record_residual_is_that_of_its_block(self, dim):
+        domain, seed, coef, zeta = _chain_flood(dim, "cut-corner", 1, "noise")
+        report = flood_propagate(domain, seed, coef, zeta)
+        checked = 0
+        for rec in report.cuboids:
+            if rec.residual is None:
+                continue
+            sub = tuple(slice(lo, hi) for lo, hi in rec.bounds)
+            sub_grid = GridSpec(zeta.values[sub].shape[:-1], (0.0,) * dim,
+                                zeta.grid.spacing)
+            assert rec.residual == system_residual(
+                VectorField(sub_grid, zeta.values[sub]),
+                CoefficientTensorField(sub_grid, coef.values[sub]))
+            checked += 1
+        assert checked > 0
 
 
 class TestOrientation:
