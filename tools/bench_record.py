@@ -1,14 +1,12 @@
-"""Record one point of the perf trajectory as BENCH_<tag>.json at the repository root.
+"""Write BENCH_<tag>.json at the repository root: one point of the perf trajectory.
 
     python3 tools/bench_record.py TAG [--checkout DIR] [--seed 901] [--seconds 8] [--repeat 1]
 
-Runs perfbench/run.py of the checkout DIR (default: this repository), trace
-off, --repeat times per workload of its BENCHMARK.json, and keeps per
-workload the median over those runs of wall_s, setup_s and peak_rss_mb (each
-a median over one run's processes), the attempted and failed counts, the exit
-codes and run.py's environment line.  bytecode_valid says whether the
-checkout's korn_kit modules were compiled beforehand: without that, every
-process compiles them, and setup_s and peak_rss_mb read higher.
+Runs perfbench/run.py of DIR (default: this repository), trace off, --repeat
+times per workload, and keeps the median wall_s, setup_s and peak_rss_mb over
+those runs, the attempted and failed counts, the exit codes, run.py's
+environment line, and whether DIR's korn_kit bytecode was valid beforehand
+(without it every process compiles the sources: setup_s and peak_rss_mb rise).
 """
 import argparse
 import importlib.util
@@ -63,7 +61,7 @@ def main() -> int:
                      exit_codes=codes, environment=env)
         record["workloads"][workload["name"]] = entry
     (HERE / f"BENCH_{args.tag}.json").write_text(json.dumps(record, indent=1) + "\n")
-    return max(code for w in record["workloads"].values() for code in w["exit_codes"])
+    return int(any(code for w in record["workloads"].values() for code in w["exit_codes"]))
 
 
 if __name__ == "__main__":
