@@ -199,14 +199,14 @@ def _gradient(values, spacing, axis):
     return np.gradient(values, spacing, axis=axis, edge_order=2)
 
 
-def _central(values, spacing, axis):
-    """Central difference along a grid axis, on the interior of all three.
+def _central(values, spacing, axis, ndim=3):
+    """Central difference along a grid axis, on the interior of all ndim.
 
-    The grid axes come first.  Each value is (f[+1] - f[-1]) / (2h), the
+    The ndim grid axes come first.  Each value is (f[+1] - f[-1]) / (2h), the
     expression np.gradient uses at interior points, so the two agree bit for
     bit; edge points are read as stencil input and never differenced.
     """
-    ahead = [slice(1, -1)] * 3
+    ahead = [slice(1, -1)] * ndim
     behind = list(ahead)
     ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
     out = values[tuple(ahead)] - values[tuple(behind)]

@@ -13,10 +13,10 @@ greedily from a zero seed region given as a mask.  Each cuboid is checked
 on its own block of the grid arrays by its zero face data, zeta_max and
 the full-system residual, not by propagation: RK4 on zero face data of a
 linear system returns exactly zero.  The residual is built once per flood
-at the interior grid points, and each cuboid reads the block of its own
-interior points, where the central differences are the cuboid's own.  A
-growth side whose added layer fails is dropped for the rest of its cuboid,
-because no later layer on that side can pass.
+at the interior points of the domain's bounding box, and each cuboid reads
+the block of its own interior points, where the central differences are
+the cuboid's own.  A growth side whose added layer fails is dropped for the
+rest of its cuboid, because no later layer on that side can pass.
 
 The coefficient G is a CoefficientTensorField, defined in fields next to
 the vector and matrix fields and importable from here as well.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (DisconnectedDomain, DimensionMismatch, FaceMismatch,
                      NonFiniteCoefficient, NotIntegrable, SeedOutsideDomain)
-from .fields import CoefficientTensorField, VectorField, _require_stencil_room
+from .fields import CoefficientTensorField, VectorField, _central, _require_stencil_room
 
 # adaptive quadrature of coefficient norms (see integrate_norm)
 QUAD_VALUE_CAP = 1e6
@@ -330,38 +330,28 @@ class ResidualReport:
     passed: bool
 
 
-def _residual_by_axis(zeta: VectorField, coefficient: CoefficientTensorField) -> np.ndarray:
-    """max over i of |d_j zeta_i - (G zeta)_ij| at every interior grid point.
+def _residual_by_axis(z: np.ndarray, g: np.ndarray, spacing: float) -> np.ndarray:
+    """max over i of |d_j z_i - (g z)_ij| at every interior point of a block.
 
-    Entry [..., j] of the result belongs to the grid point one index further
-    along every axis.  The derivative there is the central difference
-    (f[+1] - f[-1]) / (2h), the expression np.gradient (and so fd_grad) uses
-    at interior points, and G zeta is CoefficientTensorField.apply's einsum,
-    so each entry equals the whole-grid one of fd_grad(zeta) - G zeta bit
-    for bit, and so does its max over any block.  The work goes one plane of
-    axis 0 at a time, so no dim x dim array per grid point is made.
+    z holds a block's vectors and g its coefficient tensors, grid axes first.
+    Entry [..., j] of the result belongs to the block point one index further
+    along every axis.  The derivative there is fields._central's, the
+    expression np.gradient (and so fd_grad) uses at interior points, and
+    g z is CoefficientTensorField.apply's einsum, so each entry equals the
+    whole-grid one of fd_grad(zeta) - G zeta bit for bit, and so does its
+    max over any block.  The work goes one plane of axis 0 at a time, so no
+    dim x dim array per grid point is made.
     """
-    grid = zeta.grid
-    _require_stencil_room(grid)
-    n = grid.dim
-    if zeta.components != n:
+    n = z.ndim - 1
+    if z.shape[-1] != n:
         raise DimensionMismatch(
-            f"the residual needs {n} components on a {n}d grid, got {zeta.components}")
-    z, g = zeta.values, coefficient.values
+            f"the residual needs {n} components on a {n}d grid, got {z.shape[-1]}")
     inner = (slice(1, -1),) * (n - 1)
-    # (ahead, behind): a plane's interior points moved along axis 1, 2, ...
-    shifts = []
-    for j in range(1, n):
-        ahead, behind = list(inner), list(inner)
-        ahead[j - 1], behind[j - 1] = slice(2, None), slice(None, -2)
-        shifts.append((tuple(ahead), tuple(behind)))
-    two_h = 2. * grid.spacing
-    out = np.empty(tuple(m - 2 for m in grid.shape) + (n,))
-    for p in range(1, grid.shape[0] - 1):
+    out = np.empty(tuple(m - 2 for m in z.shape[:-1]) + (n,))
+    for p in range(1, z.shape[0] - 1):
         row = np.empty(out.shape[1:-1] + (n, n))
-        row[..., 0] = (z[p + 1][inner] - z[p - 1][inner]) / two_h
-        for j, (ahead, behind) in enumerate(shifts, 1):
-            row[..., j] = (z[p][ahead] - z[p][behind]) / two_h
+        for j in range(n):
+            row[..., j] = _central(z[p - 1:p + 2], spacing, j, n)[0]
         row -= np.einsum("...ijk,...k->...ij", g[p][inner], z[p][inner])
         np.abs(row, out=row)
         np.max(row, axis=-2, out=out[p - 1])
@@ -380,7 +370,9 @@ def system_residual(zeta: VectorField, coefficient: CoefficientTensorField,
     """Check the full first-order system, not just the propagated direction."""
     if zeta.grid != coefficient.grid:
         raise DimensionMismatch("zeta and coefficient must share a grid")
-    return _residual_report(_residual_by_axis(zeta, coefficient), tol)
+    _require_stencil_room(zeta.grid)
+    return _residual_report(
+        _residual_by_axis(zeta.values, coefficient.values, zeta.grid.spacing), tol)
 
 
 @dataclass(frozen=True)
@@ -475,13 +467,14 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
     domain_mask.  Every record's residual is taken on the cuboid's block of
     the grid as it lies, so its per_axis[j] is grid axis j.
 
-    The residual is built once for the grid's interior points; a cuboid
-    reads the block of its own interior points, where its central
-    differences are the grid's, so the record is the one its block alone
-    would give.  A growth side whose added layer fails, or whose edge
-    leaves the grid, is not tried again for that cuboid: its edge stays put
-    and the other axes only widen, so each later layer on that side holds
-    the failed one, while the slab and the covered set stay fixed.
+    The residual is built once, at the interior points of the domain's
+    bounding box, which holds every cuboid; a cuboid reads the block of its
+    own interior points, where its central differences are the box's, so
+    the record is the one its block alone would give.  A growth side whose
+    added layer fails, or whose edge leaves the grid, is not tried again for
+    that cuboid: its edge stays put and the other axes only widen, so each
+    later layer on that side holds the failed one, while the slab and the
+    covered set stay fixed.
     """
     grid = zeta.grid
     if coefficient.grid != grid:
@@ -509,8 +502,13 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         return CoverageReport((), float(np.count_nonzero(covered) / n_domain), float(tol),
                               False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
 
-    # only a cuboid 3 points thick on every axis has a residual; a thinner grid has none
-    by_axis = _residual_by_axis(zeta, coefficient) if min(grid.shape) >= 3 else None
+    # every cuboid lies in the domain's bounding box, so the residual is built
+    # on that block only; a cuboid has a residual only when it is 3 points
+    # thick on every axis, so a thinner block needs none
+    near = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(domain))
+    by_axis = None
+    if all(b.stop - b.start >= 3 for b in near):
+        by_axis = _residual_by_axis(zeta.values[near], coefficient.values[near], grid.spacing)
     records = []
     # on a connected domain, a frontier exists until the domain is covered
     while (frontier := _frontier(domain, covered)) is not None:
@@ -553,7 +551,8 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         residual = None
         if all(m >= 3 for m in zeta_vals.shape[:-1]):
             residual = _residual_report(
-                by_axis[tuple(slice(lo, hi - 2) for lo, hi in box)], RESIDUAL_TOL)
+                by_axis[tuple(slice(lo - b.start, hi - 2 - b.start)
+                              for (lo, hi), b in zip(box, near))], RESIDUAL_TOL)
 
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))

@@ -466,9 +466,12 @@ class TestCoveringChain:
         assert report.n_cuboids == 126
 
 
-def _chain_flood(dim, name, side, zeta_kind):
-    """A flood over one of _chain_domains, with zero or seeded 1e-13-noise zeta."""
+def _chain_flood(dim, name, side, zeta_kind, margin=False):
+    """A flood over one of _chain_domains, with zero or seeded 1e-13-noise zeta;
+    with margin, the domain sits inside a larger grid, apart from its faces."""
     domain = _chain_domains(dim)[name]
+    if margin:
+        domain = np.pad(domain, [(1 + k, 3 - k) for k in range(dim)])
     grid = GridSpec(domain.shape, (0.0,) * dim, 0.1)
     rng = np.random.default_rng(dim)
     coef = CoefficientTensorField(grid, rng.uniform(-1, 1, grid.shape + (dim,) * 3))
@@ -482,13 +485,16 @@ class TestCoveringMatchesReference:
     """The covering equals the reference loop, which tries every growth side
     until a pass adds nothing and differences each cuboid's block anew."""
 
+    # inset: the domain lies apart from the grid's faces, and the residual is
+    # built on its bounding box only
+    @pytest.mark.parametrize("margin", [False, True], ids=["grid", "inset"])
     @pytest.mark.parametrize("zeta_kind", ["zero", "noise"])
     @pytest.mark.parametrize("side", [0, 1], ids=["near", "far"])
     @pytest.mark.parametrize("name", ["box", "l-shape", "cut-corner", "ball",
                                       "random-walk"])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_equals_reference_loop(self, dim, name, side, zeta_kind):
-        domain, seed, coef, zeta = _chain_flood(dim, name, side, zeta_kind)
+    def test_equals_reference_loop(self, dim, name, side, zeta_kind, margin):
+        domain, seed, coef, zeta = _chain_flood(dim, name, side, zeta_kind, margin)
         report = flood_propagate(domain, seed, coef, zeta)
         assert report == reference_flood(domain, seed, coef, zeta)
         assert report.passed

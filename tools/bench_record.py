@@ -1,12 +1,15 @@
 """Write BENCH_<tag>.json at the repository root: one point of the perf trajectory.
 
-    python3 tools/bench_record.py TAG [--checkout DIR] [--seed 901] [--seconds 8] [--repeat 1]
+    python3 tools/bench_record.py TAG [--checkout DIR]
 
-Runs perfbench/run.py of DIR (default: this repository), trace off, --repeat
-times per workload, and keeps the median wall_s, setup_s and peak_rss_mb over
-those runs, the attempted and failed counts, the exit codes, run.py's
-environment line, and whether DIR's korn_kit bytecode was valid beforehand
+Runs perfbench/run.py of this repository 3 times per workload (seed 901,
+8 seconds, trace off) and keeps the median wall_s, setup_s and peak_rss_mb
+over those runs, the attempted and failed counts, the exit codes, run.py's
+environment line, and whether the korn_kit bytecode was valid beforehand
 (without it every process compiles the sources: setup_s and peak_rss_mb rise).
+With --checkout, each run alternates with one of DIR, another checkout such
+as the parent commit, recorded as BENCH_<tag>_parent.json: the box's speed
+drifts over minutes, and alternating gives both points the same drift.
 """
 import argparse
 import importlib.util
@@ -17,6 +20,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SEED, SECONDS, REPEAT = 901, 8, 3
 
 
 def bytecode_valid(checkout: Path) -> bool:
@@ -31,37 +35,49 @@ def bytecode_valid(checkout: Path) -> bool:
     return True
 
 
+def run(checkout: Path, workload: str):
+    """(exit code, last JSON line, environment line) of one run.py run."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    env = next((line for line in lines if line.startswith("workload ")), None)
+    return done.returncode, json.loads(lines[-1]) if lines else {}, env
+
+
+def summary(runs) -> dict:
+    codes, lasts, envs = zip(*runs)
+    values = {m: [r["metrics"][m]["value"] for r in lasts if m in r.get("metrics", {})]
+              for m in ("wall_s", "setup_s", "peak_rss_mb")}
+    entry = {m: statistics.median(v) if v else None for m, v in values.items()}
+    entry.update(attempted=sum(r.get("attempted", 0) for r in lasts),
+                 failed=sum(r.get("failed", 0) for r in lasts),
+                 exit_codes=list(codes), environment=next(filter(None, envs), None))
+    return entry
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tag")
-    parser.add_argument("--checkout", type=Path, default=HERE)
-    parser.add_argument("--seed", type=int, default=901)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--checkout", type=Path)
     args = parser.parse_args()
-    args.checkout = args.checkout.resolve()
-    record = {"seed": args.seed, "seconds": args.seconds, "repeat": args.repeat,
-              "bytecode_valid": bytecode_valid(args.checkout), "workloads": {}}
-    for workload in json.loads((args.checkout / "BENCHMARK.json").read_text())["workloads"]:
-        codes, lasts, env = [], [], None
-        for _ in range(args.repeat):
-            done = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
-                                   workload["name"], "--seed", str(args.seed), "--seconds",
-                                   str(args.seconds), "--trace", "0"],
-                                  cwd=args.checkout, capture_output=True, text=True)
-            lines = done.stdout.splitlines()
-            codes.append(done.returncode)
-            lasts.append(json.loads(lines[-1]) if lines else {})
-            env = next((line for line in lines if line.startswith("workload ")), env)
-        values = {m: [r["metrics"][m]["value"] for r in lasts if m in r.get("metrics", {})]
-                  for m in ("wall_s", "setup_s", "peak_rss_mb")}
-        entry = {m: statistics.median(v) if v else None for m, v in values.items()}
-        entry.update(attempted=sum(r.get("attempted", 0) for r in lasts),
-                     failed=sum(r.get("failed", 0) for r in lasts),
-                     exit_codes=codes, environment=env)
-        record["workloads"][workload["name"]] = entry
-    (HERE / f"BENCH_{args.tag}.json").write_text(json.dumps(record, indent=1) + "\n")
-    return int(any(code for w in record["workloads"].values() for code in w["exit_codes"]))
+    sides = {args.tag: HERE}
+    if args.checkout:
+        sides[f"{args.tag}_parent"] = args.checkout.resolve()
+    records = {tag: {"seed": SEED, "seconds": SECONDS, "repeat": REPEAT,
+                     "bytecode_valid": bytecode_valid(path), "workloads": {}}
+               for tag, path in sides.items()}
+    for workload in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]:
+        runs = {tag: [] for tag in sides}
+        for i in range(REPEAT):
+            for tag in list(sides)[::(-1) ** i]:
+                runs[tag].append(run(sides[tag], workload["name"]))
+        for tag, record in records.items():
+            record["workloads"][workload["name"]] = summary(runs[tag])
+    for tag, record in records.items():
+        (HERE / f"BENCH_{tag}.json").write_text(json.dumps(record, indent=1) + "\n")
+    return int(any(code for record in records.values()
+                   for w in record["workloads"].values() for code in w["exit_codes"]))
 
 
 if __name__ == "__main__":
