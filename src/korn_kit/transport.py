@@ -16,7 +16,9 @@ linear system returns exactly zero.  The residual is built once per flood
 at the interior points of the domain's bounding box, and each cuboid reads
 the block of its own interior points, where the central differences are
 the cuboid's own.  A growth side whose added layer fails is dropped for the
-rest of its cuboid, because no later layer on that side can pass.
+rest of its cuboid, because no later layer on that side can pass.  Whether
+a layer lies in the domain, and is covered beside the cuboid's base slab, is
+read off summed-area tables of the domain and of the slab's projection.
 
 The coefficient G is a CoefficientTensorField, defined in fields next to
 the vector and matrix fields and importable from here as well.
@@ -354,13 +356,28 @@ def _residual_by_axis(z: np.ndarray, g: np.ndarray, spacing: float) -> np.ndarra
             row[..., j] = _central(z[p - 1:p + 2], spacing, j, n)[0]
         row -= np.einsum("...ijk,...k->...ij", g[p][inner], z[p][inner])
         np.abs(row, out=row)
-        np.max(row, axis=-2, out=out[p - 1])
+        out[p - 1] = _max_along(row, -2)
+    return out
+
+
+def _max_along(values: np.ndarray, axis: int) -> np.ndarray:
+    """values.max(axis) for a short axis counted from the end (axis < 0).
+
+    np.maximum goes over its slices: numpy's own reduction over an axis of
+    2 or 3 entries runs one short inner loop per output point and is many
+    times slower.  A maximum is one of its inputs and NaN propagates
+    through both, so the result is the same, bit for bit.
+    """
+    tail = (slice(None),) * (-1 - axis)
+    out = values[(..., 0) + tail].copy()
+    for i in range(1, values.shape[axis]):
+        np.maximum(out, values[(..., i) + tail], out=out)
     return out
 
 
 def _residual_report(by_axis: np.ndarray, tol: float) -> ResidualReport:
     """The report of a block of _residual_by_axis: its max per grid axis."""
-    per_axis = tuple(float(v) for v in np.max(by_axis, axis=tuple(range(by_axis.ndim - 1))))
+    per_axis = tuple(float(by_axis[..., j].max()) for j in range(by_axis.shape[-1]))
     max_norm = max(per_axis)
     return ResidualReport(max_norm, per_axis, float(tol), max_norm <= tol)
 
@@ -421,6 +438,48 @@ def _frontier(domain: np.ndarray, covered: np.ndarray):
     return None
 
 
+class _SummedArea:
+    """Whether a box holds only set points of a boolean mask, by a summed-area table.
+
+    The table holds the zero-padded prefix sums of the mask (Crow, SIGGRAPH
+    1984), so the number of set points in a box of half-open index ranges
+    is an inclusion-exclusion over its eight corners: eight integer lookups,
+    exact, and the box is full when that number is its volume.  A mask of
+    one or two axes gets leading axes of one point, so one three-axis
+    formula serves every mask.  origin is the grid index of the mask's first
+    point along each axis, and full takes boxes in grid indices.
+    """
+
+    __slots__ = ("table", "lead", "offsets")
+
+    def __init__(self, mask: np.ndarray, origin):
+        lead = 3 - mask.ndim
+        # a grid holds at most fields.POINT_CAP = 2**24 points: int32 counts do not overflow
+        table = np.zeros((2,) * lead + tuple(n + 1 for n in mask.shape), dtype=np.int32)
+        sums = table[(1,) * lead]
+        sums[(slice(1, None),) * mask.ndim] = mask
+        for k in range(mask.ndim):
+            np.add.accumulate(sums, axis=k, out=sums)
+        steps = [s // table.itemsize for s in table.strides]
+        # read as Python ints, without a list of them
+        self.table = memoryview(table.reshape(-1))
+        # a leading axis of one point spans [0, 1); per axis, entry i is the
+        # flat offset of the table plane before grid index i
+        self.lead = [(0, 1)] * lead
+        self.offsets = [[0, s] for s in steps[:lead]] + [
+            list(range(-o * s, (n + 1) * s, s))
+            for o, n, s in zip(origin, mask.shape, steps[lead:])]
+
+    def full(self, box) -> bool:
+        (l0, h0), (l1, h1), (l2, h2) = self.lead + box
+        o0, o1, o2 = self.offsets
+        a0, a1, b0, b1, c0, c1 = o0[l0], o0[h0], o1[l1], o1[h1], o2[l2], o2[h2]
+        t = self.table
+        return (t[a1 + b1 + c1] - t[a0 + b1 + c1] - t[a1 + b0 + c1] + t[a0 + b0 + c1]
+                - t[a1 + b1 + c0] + t[a0 + b1 + c0] + t[a1 + b0 + c0] - t[a0 + b0 + c0]
+                == (h0 - l0) * (h1 - l1) * (h2 - l2))
+
+
 def _count_components(mask: np.ndarray) -> int:
     """Number of face-connected components of a boolean mask.
 
@@ -475,6 +534,21 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
     that cuboid: its edge stays put and the other axes only widen, so each
     later layer on that side holds the failed one, while the slab and the
     covered set stay fixed.
+
+    A growth step asks two questions of its added layer, and each is a
+    count on a summed-area table.  The layer
+    lies in the domain when the count of domain points in it, from one
+    table of the domain built per flood on the bounding box, equals its
+    volume.  It is covered beside the slab when the slab's projection along
+    the growth axis (covered at every slab layer) is set over the layer's
+    other axes, and that projection's table is built once per cuboid, at
+    its first such test, since the slab and the covered set do not change
+    while the cuboid grows.  The counts are exact integers, so each answer
+    is that of .all() on the same block.  face_max and zeta_max are maxima
+    of one field, max_i |zeta_i| on the bounding box, over the face and
+    the block: a maximum over points of maxima over components is the
+    maximum over both, and max returns one of its inputs, NaN included,
+    so the values are the ones the block's own abs and max give.
     """
     grid = zeta.grid
     if coefficient.grid != grid:
@@ -502,13 +576,22 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         return CoverageReport((), float(np.count_nonzero(covered) / n_domain), float(tol),
                               False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
 
-    # every cuboid lies in the domain's bounding box, so the residual is built
-    # on that block only; a cuboid has a residual only when it is 3 points
-    # thick on every axis, so a thinner block needs none
-    near = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(domain))
+    # every cuboid lies in the domain's bounding box, so the residual, the
+    # |zeta| field and the domain's table are built on that block only; a
+    # cuboid has a residual only when it is 3 points thick on every axis, so
+    # a thinner block needs none
+    near = []
+    for j in range(grid.dim):
+        hit = np.flatnonzero(domain.any(axis=tuple(k for k in range(grid.dim) if k != j)))
+        near.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    near = tuple(near)
+    first = [b.start for b in near]
+    last = [b.stop for b in near]
     by_axis = None
     if all(b.stop - b.start >= 3 for b in near):
         by_axis = _residual_by_axis(zeta.values[near], coefficient.values[near], grid.spacing)
+    zabs = _max_along(np.abs(zeta.values[near]), -1)
+    inside = _SummedArea(domain[near], first)
     records = []
     # on a connected domain, a frontier exists until the domain is covered
     while (frontier := _frontier(domain, covered)) is not None:
@@ -518,41 +601,52 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         # _BASE_SLAB and at least the frontier's one; the back face never moves,
         # so neither does the slab
         line = covered[point[:axis] + (slice(None),) + point[axis + 1:]]
-        back = (line[c - 1::-1] if direction > 0 else line[c + 1:])[:_BASE_SLAB]
-        depth = len(back) if back.all() else int(back.argmin())
+        back = (line[c - 1::-1] if direction > 0 else line[c + 1:])[:_BASE_SLAB].tolist()
+        depth = (back + [False]).index(False)
         slab = [c - depth, c] if direction > 0 else [c + 1, c + 1 + depth]
         box = [[p, p + 1] for p in point]
         box[axis] = [min(c, slab[0]), max(c + 1, slab[1])]
 
         # the box lies in the domain and its slab is covered, so a growth step
         # tests only the layer it adds: in the domain, and covered beside the
-        # slab; a side that fails once is dropped (see the docstring)
+        # slab, which the slab's projection along axis tells; a side that
+        # fails once is dropped (see the docstring)
         sides = [(ax, d) for ax in range(grid.dim) for d in (1, -1)
                  if not (ax == axis and d == -direction)]
+        beside = None
         while sides:
             live = []
             for ax, d in sides:
-                edge = box[ax][1] if d > 0 else box[ax][0] - 1
-                if not 0 <= edge < grid.shape[ax]:
+                lo, hi = box[ax]
+                edge = hi if d > 0 else lo - 1
+                if not first[ax] <= edge < last[ax]:
                     continue
-                added = box[:ax] + [[edge, edge + 1]] + box[ax + 1:]
-                beside = added[:axis] + [slab] + added[axis + 1:]
-                if (domain[tuple(slice(*r) for r in added)].all()
-                        and (ax == axis or covered[tuple(slice(*r) for r in beside)].all())):
-                    box[ax] = [min(box[ax][0], edge), max(box[ax][1], edge + 1)]
-                    live.append((ax, d))
+                layer = box.copy()
+                layer[ax] = (edge, edge + 1)
+                if not inside.full(layer):
+                    continue
+                if ax != axis:
+                    if beside is None:
+                        # covered and the slab stay fixed while the box grows
+                        beside = _SummedArea(
+                            covered[near[:axis] + (slice(*slab),) + near[axis + 1:]].all(axis),
+                            first[:axis] + first[axis + 1:])
+                    del layer[axis]
+                    if not beside.full(layer):
+                        continue
+                box[ax] = (lo, edge + 1) if d > 0 else (edge, hi)
+                live.append((ax, d))
             sides = live
 
         sub = tuple(slice(*r) for r in box)
-        zeta_vals = zeta.values[sub]
-        face = np.take(zeta_vals, 0 if direction > 0 else -1, axis=axis)
-        face_max = float(np.max(np.abs(face)))
-        zeta_max = float(np.max(np.abs(zeta_vals)))
+        held = zabs[tuple(slice(lo - f, hi - f) for (lo, hi), f in zip(box, first))]
+        face_max = float(held[(slice(None),) * axis + (0 if direction > 0 else -1,)].max())
+        zeta_max = float(held.max())
         residual = None
-        if all(m >= 3 for m in zeta_vals.shape[:-1]):
+        if all(hi - lo >= 3 for lo, hi in box):
             residual = _residual_report(
-                by_axis[tuple(slice(lo - b.start, hi - 2 - b.start)
-                              for (lo, hi), b in zip(box, near))], RESIDUAL_TOL)
+                by_axis[tuple(slice(lo - f, hi - 2 - f) for (lo, hi), f in zip(box, first))],
+                RESIDUAL_TOL)
 
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))
