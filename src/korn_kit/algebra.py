@@ -10,8 +10,8 @@ Conventions used throughout the package:
   of a 3x3 matrix Y have every nonzero block +-smat(row of Y).  L is
   symmetric and det L == -2 * det(Y)**3, so L is invertible exactly when Y
   is.  The curl-of-product formulas apply them as cross products of the
-  rows of Y and apply_l_inverse inverts L in closed form, so no 9x9 matrix
-  is built; the 9x9 matrices are the tests' reference algebra.
+  rows of Y and apply_l_inverse inverts L in closed form, so the fields
+  build no 9x9 matrix; selftest reads them off those kernels.
 * A "grad27" value collects the nine entry gradients of a matrix field,
   shape (9, 3): row k is the spatial gradient of vec(X)[k].
 
@@ -257,3 +257,74 @@ def curl_product_skew_pointwise(grad_axl, a, y, curl_y) -> np.ndarray:
     y = _as_float_array(y, (3, 3), "y")
     curl_y = _as_float_array(curl_y, (3, 3), "curl_y")
     return _apply_l(y, None, grad_axl, grad_axl) + a.matrix @ curl_y
+
+
+# the nine unit 9-vectors as 3x3 matrices, vec(_UNITS[k]) = e_k, and smat(e_c)
+_UNITS = np.eye(9).reshape(9, 3, 3)
+_SKEWS = smat(np.eye(3))
+
+
+def read_l_operators(ys):
+    """L, L_skew and L_sym of each Y in ys, read column by column off the kernels.
+
+    Column k of L is the skew formula fed the axial-vector Jacobian e_k.
+    Column 3 i + j of L_skew (L_sym) is the general formula fed the entry
+    gradients e_j of the strictly-upper (strictly-lower) part of smat(e_i),
+    whose skewvec (symvec) is e_i and whose other extractions are zero.
+    """
+    ys = np.asarray(ys, dtype=float)[..., None, :, :]
+    zero = np.zeros((3, 3))
+    columns = [curl_product_skew_pointwise(_UNITS, SkewMat3(np.zeros(3)), ys, zero)]
+    for part in (np.triu(_SKEWS, 1), np.tril(_SKEWS, -1)):
+        grad27 = np.einsum("ipq,jr->ijpqr", part, np.eye(3)).reshape(9, 9, 3)
+        columns.append(curl_product_pointwise(grad27, zero, ys, zero))
+    # entry k of each stack is mat(column k)
+    return [np.swapaxes(c.reshape(c.shape[:-3] + (9, 9)), -1, -2) for c in columns]
+
+
+def selftest(rng, tol_det: float, tol_skew: float) -> list:
+    """Rows [check, samples, worst, tolerance, passed] of the algebra's checks.
+
+    The samples are drawn from rng, and each check is one batched expression
+    over them.  L is read off the curl-of-product kernels and inverted by
+    apply_l_inverse, so the checks certify the code the fields run.
+    """
+    vs = rng.uniform(-1, 1, (100, 9))
+    axes, xs = rng.uniform(-1, 1, (2, 100, 3))
+    ys = rng.uniform(-1, 1, (1000, 3, 3))
+    # per sample: zeta, then the axial Jacobian, Y and curl Y as 3x3 blocks
+    zeta, *blocks = np.split(rng.uniform(-1, 1, (100, 30)), [3, 12, 21], axis=1)
+    grad_axl, y, curl_y = (block.reshape(100, 3, 3) for block in blocks)
+    y_inv = rng.uniform(-1, 1, (20, 3, 3))
+    y_inv /= np.cbrt(np.abs(np.linalg.det(y_inv)))[:, None, None]
+
+    layout = np.arange(1.0, 10.0)
+    skews = smat(axes)
+    l_full, l_skew, l_sym = read_l_operators(ys)
+    det_y = np.linalg.det(ys)
+    # entry gradients of smat(zeta) when the axial vector has Jacobian grad_axl
+    grad27 = np.einsum("cpq,nck->npqk", _SKEWS, grad_axl).reshape(100, 9, 3)
+    general = curl_product_pointwise(grad27, smat(zeta), y, curl_y)
+    special = curl_product_skew_pointwise(grad_axl, SkewMat3(zeta), y, curl_y)
+    columns = apply_l_inverse(y_inv[:, None], _UNITS, np.linalg.det(y_inv)[:, None])
+    l_inv = np.swapaxes(columns.reshape(20, 9, 9), -1, -2)
+
+    checks = [
+        ("mat_of_vec_layout", 1, np.max(np.abs(mat_of_vec(layout) - layout.reshape(3, 3))),
+         0.0),
+        ("vec_mat_roundtrip", 100, np.max(np.abs(vec_of_mat(mat_of_vec(vs)) - vs)), 0.0),
+        ("smat_cross_product", 100,
+         np.max(np.abs(np.einsum("nij,nj->ni", skews, xs) - np.cross(axes, xs))), 1e-15),
+        ("so3_extractions", 100,
+         np.max(np.abs([skewvec(skews) - axes, symvec(skews) - axes, dvec(skews)])), 0.0),
+        ("l_symmetry", 1000, np.max(np.abs(l_full - np.swapaxes(l_full, -1, -2))), 0.0),
+        ("l_decomposition", 1000, np.max(np.abs(l_full - (l_skew + l_sym))), 0.0),
+        ("l_determinant_identity", 1000,
+         np.max(np.abs(np.linalg.det(l_full) + 2.0 * det_y ** 3)
+                / np.maximum(1.0, np.abs(det_y) ** 3)), tol_det),
+        ("skew_specialization", 100, np.max(np.abs(general - special)), tol_skew),
+        ("l_inverse_residual", 20,
+         np.max(np.abs(read_l_operators(y_inv)[0] @ l_inv - np.eye(9))), 1e-12),
+    ]
+    return [[name, samples, float(worst), float(tolerance), bool(worst <= tolerance)]
+            for name, samples, worst, tolerance in checks]

@@ -264,105 +264,11 @@ def _korn_problem(cfg: RunConfig):
 # experiment handlers
 
 
-# the nine unit 9-vectors as 3x3 matrices, vec(_UNITS[k]) = e_k, and smat(e_c)
-_UNITS = np.eye(9).reshape(9, 3, 3)
-_SKEWS = algebra.smat(np.eye(3))
-
-
-def _l_matrices(ys):
-    """L, L_skew and L_sym of each Y, read column by column off the kernels.
-
-    Column k of L is the skew formula fed the axial-vector Jacobian e_k.
-    Column 3 i + j of L_skew (L_sym) is the general formula fed the entry
-    gradients e_j of the strictly-upper (strictly-lower) part of smat(e_i),
-    whose skewvec (symvec) is e_i and whose other extractions are zero.
-    """
-    ys = ys[..., None, :, :]
-    zero = np.zeros((3, 3))
-    columns = [algebra.curl_product_skew_pointwise(
-        _UNITS, algebra.SkewMat3(np.zeros(3)), ys, zero)]
-    for part in (np.triu(_SKEWS, 1), np.tril(_SKEWS, -1)):
-        grad27 = np.einsum("ipq,jr->ijpqr", part, np.eye(3)).reshape(9, 9, 3)
-        columns.append(algebra.curl_product_pointwise(grad27, zero, ys, zero))
-    # entry k of each stack is mat(column k)
-    return [np.swapaxes(c.reshape(c.shape[:-3] + (9, 9)), -1, -2) for c in columns]
-
-
 def _run_algebra_selftest(cfg: RunConfig, rng):
-    checks = []
-
-    def record(name, samples, worst, tolerance):
-        checks.append({"check": name, "samples": samples, "worst": float(worst),
-                       "tolerance": float(tolerance),
-                       "passed": bool(worst <= tolerance)})
-
-    probe = algebra.mat_of_vec(np.arange(1.0, 10.0))
-    worst = np.max(np.abs(probe - np.arange(1.0, 10.0).reshape(3, 3)))
-    record("mat_of_vec_layout", 1, worst, 0.0)
-
-    vs = rng.uniform(-1, 1, (100, 9))
-    worst = np.max(np.abs(algebra.vec_of_mat(algebra.mat_of_vec(vs)) - vs))
-    record("vec_mat_roundtrip", 100, worst, 0.0)
-
-    axes = rng.uniform(-1, 1, (100, 3))
-    xs = rng.uniform(-1, 1, (100, 3))
-    cross = np.cross(axes, xs)
-    via = np.einsum("nij,nj->ni", algebra.smat(axes), xs)
-    record("smat_cross_product", 100, np.max(np.abs(via - cross)), 1e-15)
-
-    skews = algebra.smat(axes)
-    worst = max(
-        np.max(np.abs(algebra.skewvec(skews) - axes)),
-        np.max(np.abs(algebra.symvec(skews) - axes)),
-        np.max(np.abs(algebra.dvec(skews))),
-    )
-    record("so3_extractions", 100, worst, 0.0)
-
-    ys = rng.uniform(-1, 1, (1000, 3, 3))
-    l_full, l_skew, l_sym = _l_matrices(ys)
-    worst = np.max(np.abs(l_full - np.swapaxes(l_full, -1, -2)))
-    record("l_symmetry", 1000, worst, 0.0)
-    worst = np.max(np.abs(l_full - (l_skew + l_sym)))
-    record("l_decomposition", 1000, worst, 0.0)
-
-    det_l = np.linalg.det(l_full)
-    det_y = np.linalg.det(ys)
-    scale = np.maximum(1.0, np.abs(det_y) ** 3)
-    worst = np.max(np.abs(det_l + 2.0 * det_y ** 3) / scale)
-    record("l_determinant_identity", 1000, worst, cfg["tol_det"])
-
-    worst = 0.0
-    for _ in range(100):
-        zeta = rng.uniform(-1, 1, 3)
-        grad_axl = rng.uniform(-1, 1, (3, 3))
-        y = rng.uniform(-1, 1, (3, 3))
-        curl_y = rng.uniform(-1, 1, (3, 3))
-        grad27 = np.zeros((9, 3))
-        for comp in range(3):
-            skew_dir = algebra.smat(np.eye(3)[comp])
-            grad27 += skew_dir.reshape(9, 1) * grad_axl[comp][None, :]
-        general = algebra.curl_product_pointwise(
-            grad27, algebra.smat(zeta), y, curl_y)
-        special = algebra.curl_product_skew_pointwise(
-            grad_axl, algebra.SkewMat3(zeta), y, curl_y)
-        worst = max(worst, float(np.max(np.abs(general - special))))
-    record("skew_specialization", 100, worst, cfg["tol_skew"])
-
-    worst = 0.0
-    for _ in range(20):
-        y = rng.uniform(-1, 1, (3, 3))
-        y = y / np.cbrt(abs(np.linalg.det(y)))
-        columns = algebra.apply_l_inverse(y[None], _UNITS, np.linalg.det(y)[None])
-        l_inv = np.swapaxes(columns.reshape(9, 9), -1, -2)
-        l_full = _l_matrices(y)[0]
-        worst = max(worst, float(np.max(np.abs(l_full @ l_inv - np.eye(9)))))
-    record("l_inverse_residual", 20, worst, 1e-12)
-
-    passed = all(c["passed"] for c in checks)
-    table = ("checks", (["check", "samples", "worst", "tolerance", "passed"],
-                        [[c["check"], c["samples"], c["worst"], c["tolerance"],
-                          c["passed"]] for c in checks]))
-    return passed, {"checks": checks}, dict([table])
+    header = ["check", "samples", "worst", "tolerance", "passed"]
+    rows = algebra.selftest(rng, cfg["tol_det"], cfg["tol_skew"])
+    checks = [dict(zip(header, row)) for row in rows]
+    return all(row[-1] for row in rows), {"checks": checks}, {"checks": (header, rows)}
 
 
 def _run_verify_curl(cfg: RunConfig, rng):
@@ -536,9 +442,11 @@ def _run_transport_flood(cfg: RunConfig, rng):
 def _run_transport_counterexample(cfg: RunConfig, rng):
     report = transport.counterexample_demo(cfg["epsilon"], cfg["steps"])
     rows = [
-        ["identity_residual", report.identity_residual_max, 1e-12],
+        ["identity_residual", report.identity_residual_max,
+         transport.IDENTITY_RESIDUAL_TOL],
         ["full_integral_divergent", float(report.full_divergent), 1.0],
-        ["truncated_solution_max", report.truncated_solution_max, 1e-10],
+        ["truncated_solution_max", report.truncated_solution_max,
+         transport.TRUNCATED_SOLUTION_TOL],
     ]
     return report.passed, {"report": report}, {
         "parts": (["quantity", "value", "threshold"], rows)}
@@ -673,7 +581,7 @@ _EXPERIMENTS = {
     "algebra-selftest": ({"tol_det": (1e-10, _positive),
                           "tol_skew": (1e-13, _positive)}, _run_algebra_selftest),
     "verify-curl": ({"case": ("quadratic", _choice("quadratic", "trigonometric")),
-                     "shape": (17, _int_at_least(2)), "levels": (1, _int_at_least(1)),
+                     "shape": (17, _int_at_least(3)), "levels": (1, _int_at_least(1)),
                      "min_order": (1.9, _finite), "wavenumber": (2.0, _positive)},
                     _run_verify_curl),
     "transport-propagate": ({"case": ("exponential",

@@ -4,13 +4,14 @@ Reports are byte-identical for identical inputs: keys are sorted, floats go
 through repr, and nothing time- or path-dependent is embedded.  Every JSON
 report carries the configuration hash, the seed, and the tolerances used.
 
-to_jsonable turns a report into plain JSON types.  It branches on the exact
-type of each value, so a built-in float, int, str, bool, None, dict, list or
-tuple costs one identity test, and it looks each dataclass type's field
-names up once.  Numpy values and subclasses of the built-in types take
-isinstance checks after that, under the same rules: a float that is not
-finite becomes its repr, a dict key becomes str, a tuple becomes a list,
-and an array of any rank, 0-d included, becomes what its tolist gives.
+to_jsonable turns a report, and each CSV table, into plain JSON types.  It
+branches on the exact type of each value, so a built-in float, int, str,
+bool, None, dict, list or tuple costs one identity test, and it looks each
+dataclass type's field names up once.  Numpy values and subclasses of the
+built-in types take isinstance checks after that, under the same rules: a
+float that is not finite becomes its repr, a dict key becomes str, a tuple
+becomes a list, and an array of any rank, 0-d included, becomes what its
+tolist gives.
 """
 
 from __future__ import annotations
@@ -88,14 +89,6 @@ def write_report(out_dir, name: str, report: dict, tables: dict | None = None):
         with open(out / f"{name}_{table_name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            # csv writes a float as str, which is its repr, as in the JSON
+            writer.writerows(to_jsonable(rows))
     return json_path
-
-
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value

@@ -43,6 +43,9 @@ QUAD_MAX_DEPTH = 40
 QUAD_RTOL = 1e-9
 # interior max-norm of grad(zeta) - G zeta that a residual check passes
 RESIDUAL_TOL = 1e-8
+# counterexample_demo's bounds: identity residual, truncated zero-data solution
+IDENTITY_RESIDUAL_TOL = 1e-12
+TRUNCATED_SOLUTION_TOL = 1e-10
 # covered layers behind a frontier point that a covering cuboid takes along
 _BASE_SLAB = 2
 
@@ -710,10 +713,10 @@ def counterexample_demo(epsilon: float = 1e-3, steps: int = 1000) -> Counterexam
     trunc_traj = integrate_line(truncated, np.array([0.0]), steps)
     trunc_bound = gronwall_bound(truncated, 0.0)(1.0)
 
-    passed = (residual_max <= 1e-12
+    passed = (residual_max <= IDENTITY_RESIDUAL_TOL
               and full_report.divergent
               and not trunc_report.divergent
-              and trunc_traj.max_norm() <= 1e-10
+              and trunc_traj.max_norm() <= TRUNCATED_SOLUTION_TOL
               and trunc_bound == 0.0)
     return CounterexampleReport(
         epsilon=float(epsilon),

@@ -333,3 +333,52 @@ class TestCurlProductSkew:
         got = algebra.curl_product_skew_pointwise(
             np.zeros((3, 3)), algebra.smat(zeta), np.eye(3), np.eye(3))
         assert got == pytest.approx(algebra.smat(zeta), abs=1e-15)
+
+
+class TestSelftest:
+    def test_l_reader_matches_reference_operators(self):
+        ys = np.random.default_rng(13).uniform(-1, 1, (200, 3, 3))
+        l_full, l_skew, l_sym = algebra.read_l_operators(ys)
+        ops = build_l_operators(ys)
+        assert np.array_equal(l_full, ops.full)
+        assert np.array_equal(l_skew, ops.skew)
+        assert np.array_equal(l_sym, ops.sym)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_passes_at_default_tolerances(self, seed):
+        rows = algebra.selftest(np.random.default_rng(seed), 1e-10, 1e-13)
+        assert [row[0] for row in rows] == [
+            "mat_of_vec_layout", "vec_mat_roundtrip", "smat_cross_product",
+            "so3_extractions", "l_symmetry", "l_decomposition",
+            "l_determinant_identity", "skew_specialization", "l_inverse_residual"]
+        assert all(passed for *_, passed in rows)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_batched_checks_equal_per_sample_loops(self, seed):
+        # the per-sample loops of the two checks that were written as loops,
+        # fed the same random stream: skip the draws of the earlier checks
+        rows = algebra.selftest(np.random.default_rng(seed), 1e-10, 1e-13)
+        rng = np.random.default_rng(seed)
+        rng.uniform(-1, 1, 100 * 9 + 2 * 100 * 3 + 1000 * 9)
+        skew_worst = 0.0
+        for _ in range(100):
+            zeta = rng.uniform(-1, 1, 3)
+            grad_axl = rng.uniform(-1, 1, (3, 3))
+            y = rng.uniform(-1, 1, (3, 3))
+            curl_y = rng.uniform(-1, 1, (3, 3))
+            general = algebra.curl_product_pointwise(
+                _grad27_of_skew(grad_axl), algebra.smat(zeta), y, curl_y)
+            special = algebra.curl_product_skew_pointwise(
+                grad_axl, algebra.SkewMat3(zeta), y, curl_y)
+            skew_worst = max(skew_worst, float(np.max(np.abs(general - special))))
+        inverse_worst = 0.0
+        for _ in range(20):
+            y = rng.uniform(-1, 1, (3, 3))
+            y = y / np.cbrt(abs(np.linalg.det(y)))
+            columns = algebra.apply_l_inverse(y[None], np.eye(9).reshape(9, 3, 3),
+                                              np.linalg.det(y)[None])
+            l_inv = np.swapaxes(columns.reshape(9, 9), -1, -2)
+            residual = algebra.read_l_operators(y)[0] @ l_inv - np.eye(9)
+            inverse_worst = max(inverse_worst, float(np.max(np.abs(residual))))
+        assert rows[7][:3] == ["skew_specialization", 100, skew_worst]
+        assert rows[8][:3] == ["l_inverse_residual", 20, inverse_worst]

@@ -223,11 +223,13 @@ class TestExitCodes:
         (["korn", "rigid"], {"origin": "x"}, "origin"),
         (["verify-curl"], {"shape": 9.5}, "shape"),
         (["verify-curl"], {"shape": "9"}, "shape"),
+        (["verify-curl"], {"shape": 2}, "shape"),
         (["verify-curl"], {"levels": 1.5}, "levels"),
     ], ids=["eig-float-entry", "eig-string", "eig-scalar", "eig-bool-entry",
             "flood-float-entry", "eig-string-spacing", "eig-negative-spacing",
             "probe-inf-spacing", "gp-short-origin", "rigid-string-origin",
-            "curl-float-shape", "curl-string-shape", "curl-float-levels"])
+            "curl-float-shape", "curl-string-shape", "curl-two-point-shape",
+            "curl-float-levels"])
     def test_grid_keys_name_their_key(self, tmp_path, capsys, command, params, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(params))
