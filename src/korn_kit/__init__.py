@@ -13,14 +13,13 @@ from .errors import (ConfigError, DeterminantTooSmall, DimensionMismatch,
 from .fields import (CoefficientTensorField, ConvergenceReport, GridSpec,
                      MatrixField, VectorField, curl_product_discrepancy,
                      fd_curl_rowwise, fd_entry_gradients, fd_grad,
-                     refinement_errors, verify_curl_product)
+                     refinement_errors)
 from .fieldio import load_field, load_field_csv, save_field, save_field_csv
 from .korn import (DiscreteForm, KornProblem, ProbeReport, RayleighResult,
                    RigidRecovery, assemble_form, build_gp, builtin_p_field,
                    face_mask, kernel_vector_diagnostics, min_rayleigh,
                    norm_property_probe, rigid_recover, seminorm,
-                   sweep_roughness, sym_conjugation_residual,
-                   sym_conjugation_sides)
+                   sweep_roughness, sym_conjugation_sides)
 from .transport import (CoverageReport, CounterexampleReport, GronwallBound,
                         IntegrabilityReport, LineCoefficient, ResidualReport,
                         Trajectory, counterexample_demo, flood_propagate,

@@ -202,6 +202,14 @@ def _grid(cfg: RunConfig, three_d=False) -> GridSpec:
         raise ConfigError(f"invalid grid parameters: {exc}", key="shape")
 
 
+def _require_stencil(grid: GridSpec, key) -> None:
+    """Refuse, naming key, a grid with fewer than the 3 points along an axis
+    that a central difference there needs."""
+    if min(grid.shape) < 3:
+        raise ConfigError(f"{key} needs at least 3 points along every axis, got "
+                          f"{grid.shape}", key=key)
+
+
 def _face_on(cfg: RunConfig, key, grid):
     """The face that cfg[key] names, whose axis must be one of the grid's."""
     face = cfg[key]
@@ -244,8 +252,10 @@ def _p_field(cfg: RunConfig):
     """
     if cfg["p_file"] is not None:
         fld = _input_field(cfg, "p_file", MatrixField, dim=3)
+        _require_stencil(fld.grid, "p_file")
         return fld, fld.grid, None
     grid = _grid(cfg, three_d=True)
+    _require_stencil(grid, "shape")
     name, keywords = cfg["p_family"]
     try:
         return korn.builtin_p_field(name, grid, **keywords), grid, name
@@ -357,11 +367,7 @@ def _run_transport_propagate(cfg: RunConfig, rng):
             exact = np.zeros(grid.shape + (grid.dim,))
             residual_tol = cfg.tol or 1e-10
 
-    if min(grid.shape) < 3:
-        # the residual check differences every axis with a 3-point stencil
-        key = "g_file" if case == "files" else "shape"
-        raise ConfigError(f"{key} needs at least 3 points along every axis, got "
-                          f"{grid.shape}", key=key)
+    _require_stencil(grid, "g_file" if case == "files" else "shape")
     try:
         zeta = transport.propagate_cube(coef, face, steps)
     except FaceMismatch as exc:
@@ -516,10 +522,12 @@ def _run_korn_rigid(cfg: RunConfig, rng):
     if case == "files":
         phi = _input_field(cfg, "phi_file", VectorField, dim=3, components=3)
         psi = _input_field(cfg, "psi_file", VectorField, grid=phi.grid, components=3)
+        _require_stencil(phi.grid, "phi_file")
         tol = cfg.tol or 1e-6
         true_axial = None
     else:
         grid = _grid(cfg, three_d=True)
+        _require_stencil(grid, "shape")
         pts = grid.points()
         omega = rng.uniform(-1.0, 1.0, 3)
         shift = rng.uniform(-1.0, 1.0, 3)

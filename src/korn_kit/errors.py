@@ -38,7 +38,7 @@ class FaceMismatch(KornKitError):
 
 
 class DisconnectedDomain(KornKitError):
-    """A voxel domain is not path-connected."""
+    """Points of a voxel domain that the seed region does not reach through its faces."""
 
 
 class SeedOutsideDomain(KornKitError):

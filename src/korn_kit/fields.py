@@ -427,8 +427,3 @@ def _halo_slabs(field, bounds, head=None, tail=None):
         values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         del pieces  # the previous slab's values are freed before this slab's work
         yield values
-
-
-def verify_curl_product(x: MatrixField, y: MatrixField) -> ConvergenceReport:
-    """Single-grid verification of the curl-of-product identity."""
-    return ConvergenceReport((x.grid.spacing,), (curl_product_discrepancy(x, y),))

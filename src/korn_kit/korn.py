@@ -576,11 +576,6 @@ def sym_conjugation_sides(grad_phi, grad_psi):
     return lhs, rhs
 
 
-def sym_conjugation_residual(grad_phi, grad_psi) -> float:
-    lhs, rhs = sym_conjugation_sides(grad_phi, grad_psi)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def _is_real(v) -> bool:
     """Whether v is a finite real number; a bool is never a number."""
     # comparing first keeps a huge int from overflowing a float conversion

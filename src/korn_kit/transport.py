@@ -8,17 +8,17 @@ certifies that zero boundary data forces the zero solution whenever the
 coefficient norm is integrable; the envelope machinery also exposes the
 failure mode for non-integrable coefficients such as 1/t on (0, 1).
 
-Voxel domains are covered by overlapping axis-aligned cuboids grown
-greedily from a zero seed region given as a mask.  Each cuboid is checked
-on its own block of the grid arrays by its zero face data, zeta_max and
-the full-system residual, not by propagation: RK4 on zero face data of a
+A flood covers a voxel domain in two steps.  cover reads the domain and
+seed masks alone and grows a chain of overlapping axis-aligned cuboids from
+the seed, each meeting the seed and the cuboids before it through its back
+face; the domain points the seed does not reach make it raise
+DisconnectedDomain.  flood_propagate then checks each cuboid on its own
+block of the grid arrays by its zero face data, zeta_max and the
+full-system residual, not by propagation: RK4 on zero face data of a
 linear system returns exactly zero.  The residual is built once per flood
 at the interior points of the domain's bounding box, and each cuboid reads
 the block of its own interior points, where the central differences are
-the cuboid's own.  A growth side whose added layer fails is dropped for the
-rest of its cuboid, because no later layer on that side can pass.  Whether
-a layer lies in the domain, and is covered beside the cuboid's base slab, is
-read off summed-area tables of the domain and of the slab's projection.
+the cuboid's own.
 
 The coefficient G is a CoefficientTensorField, defined in fields next to
 the vector and matrix fields and importable from here as well.
@@ -483,120 +483,53 @@ class _SummedArea:
                 == (h0 - l0) * (h1 - l1) * (h2 - l2))
 
 
-def _count_components(mask: np.ndarray) -> int:
-    """Number of face-connected components of a boolean mask.
+def _bounding_box(domain: np.ndarray) -> tuple:
+    """Per axis, the slice of grid indices that holds a non-empty mask's points."""
+    box = []
+    for j in range(domain.ndim):
+        hit = np.flatnonzero(domain.any(axis=tuple(k for k in range(domain.ndim) if k != j)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
-    Hook and compress over the pairs of set face neighbours: every set point
-    starts as its own root; each round, the larger root of every pair that
-    still spans two trees hooks onto the smaller one, and pointer jumping then
-    points every set point at its root.  Parents never exceed their index, so
-    the forest has no cycles.  The connectivity is that of ndimage.label's
-    default structure.
+
+def cover(domain_mask: np.ndarray, seed) -> tuple:
+    """The chain of cuboids that covers a voxel domain from a seed region.
+
+    domain_mask and seed are boolean masks of one shape.  Returns one
+    (bounds, axis, direction) per cuboid in growth order, bounds being
+    half-open index ranges per axis.  Each cuboid lies in the domain, and its
+    back face (its side at -direction along axis) in the seed and the cuboids
+    before it, so zero seed data reaches it; the chain reads the masks alone.
+    Raises DisconnectedDomain, giving the number of domain points left, when
+    the frontier runs out first: the seed does not reach those points.
+
+    A cuboid starts at the first frontier point (see _frontier) with up to
+    _BASE_SLAB covered layers behind it as its base slab, and grows a layer
+    at a time on every side but its back.  A layer is added when it lies in
+    the domain and, off the growth axis, is covered beside the slab.  A side
+    whose layer fails, or whose edge leaves the domain's bounding box, is not
+    tried again for that cuboid: its edge stays put and the other axes only
+    widen, so each later layer on that side holds the failed one.  Both tests
+    are counts on summed-area tables, one of the domain on its bounding box
+    and one per cuboid, built at its first beside test, of the slab's
+    projection along the growth axis (covered at every slab layer).  The
+    counts are exact, so each answer is that of .all() on the same block.
     """
-    n_set = int(np.count_nonzero(mask))
-    label = np.full(mask.shape, -1)
-    label[mask] = np.arange(n_set)
-    lower, upper = [], []
-    for axis in range(mask.ndim):
-        a = np.moveaxis(label, axis, 0)
-        both = (a[:-1] >= 0) & (a[1:] >= 0)
-        lower.append(a[:-1][both])
-        upper.append(a[1:][both])
-    lower, upper = np.concatenate(lower), np.concatenate(upper)
-    parent = np.arange(n_set)
-    while True:
-        root_lo, root_hi = parent[lower], parent[upper]
-        split = root_lo != root_hi
-        if not split.any():
-            return int(np.count_nonzero(parent == np.arange(n_set)))
-        np.minimum.at(parent, np.maximum(root_lo, root_hi)[split],
-                      np.minimum(root_lo, root_hi)[split])
-        grand = parent[parent]
-        while not np.array_equal(grand, parent):
-            parent, grand = grand, grand[grand]
-
-
-def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTensorField,
-                    zeta: VectorField, *, tol: Optional[float] = None) -> CoverageReport:
-    """Certify zeta == 0 on a voxel domain by a chain of covering cuboids.
-
-    Starting from a seed region where zeta is verified to vanish, grows
-    axis-aligned cuboids that share a face slab with the already-covered
-    zero set.  Each cuboid is checked, not propagated (zero face data
-    propagates to exactly zero): its face data and zeta must vanish, and the
-    full system residual must pass when the cuboid is thick enough for
-    interior stencils.  seed is a boolean mask of the grid's shape, like
-    domain_mask.  Every record's residual is taken on the cuboid's block of
-    the grid as it lies, so its per_axis[j] is grid axis j.
-
-    The residual is built once, at the interior points of the domain's
-    bounding box, which holds every cuboid; a cuboid reads the block of its
-    own interior points, where its central differences are the box's, so
-    the record is the one its block alone would give.  A growth side whose
-    added layer fails, or whose edge leaves the grid, is not tried again for
-    that cuboid: its edge stays put and the other axes only widen, so each
-    later layer on that side holds the failed one, while the slab and the
-    covered set stay fixed.
-
-    A growth step asks two questions of its added layer, and each is a
-    count on a summed-area table.  The layer
-    lies in the domain when the count of domain points in it, from one
-    table of the domain built per flood on the bounding box, equals its
-    volume.  It is covered beside the slab when the slab's projection along
-    the growth axis (covered at every slab layer) is set over the layer's
-    other axes, and that projection's table is built once per cuboid, at
-    its first such test, since the slab and the covered set do not change
-    while the cuboid grows.  The counts are exact integers, so each answer
-    is that of .all() on the same block.  face_max and zeta_max are maxima
-    of one field, max_i |zeta_i| on the bounding box, over the face and
-    the block: a maximum over points of maxima over components is the
-    maximum over both, and max returns one of its inputs, NaN included,
-    so the values are the ones the block's own abs and max give.
-    """
-    grid = zeta.grid
-    if coefficient.grid != grid:
-        raise DimensionMismatch("zeta and coefficient must share a grid")
     domain = np.asarray(domain_mask, dtype=bool)
-    if domain.shape != grid.shape:
-        raise DimensionMismatch("domain mask shape must match the grid")
     seed_mask = np.asarray(seed, dtype=bool)
-    if seed_mask.shape != grid.shape:
-        raise DimensionMismatch("seed mask shape must match the grid")
+    if seed_mask.shape != domain.shape:
+        raise DimensionMismatch("seed mask shape must match the domain mask")
     if not seed_mask.any():
         raise SeedOutsideDomain("seed region is empty")
     if np.any(seed_mask & ~domain):
         raise SeedOutsideDomain("seed region leaves the domain mask")
-    n_components = _count_components(domain)
-    if n_components != 1:
-        raise DisconnectedDomain(f"domain mask has {n_components} components")
 
-    seed_scale = float(np.max(np.abs(zeta.values[seed_mask])))
-    if tol is None:
-        tol = 1e-10 * (1.0 + seed_scale)
-    covered = seed_mask.copy()
-    n_domain = np.count_nonzero(domain)
-    if seed_scale > tol:
-        return CoverageReport((), float(np.count_nonzero(covered) / n_domain), float(tol),
-                              False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
-
-    # every cuboid lies in the domain's bounding box, so the residual, the
-    # |zeta| field and the domain's table are built on that block only; a
-    # cuboid has a residual only when it is 3 points thick on every axis, so
-    # a thinner block needs none
-    near = []
-    for j in range(grid.dim):
-        hit = np.flatnonzero(domain.any(axis=tuple(k for k in range(grid.dim) if k != j)))
-        near.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    near = tuple(near)
+    near = _bounding_box(domain)
     first = [b.start for b in near]
     last = [b.stop for b in near]
-    by_axis = None
-    if all(b.stop - b.start >= 3 for b in near):
-        by_axis = _residual_by_axis(zeta.values[near], coefficient.values[near], grid.spacing)
-    zabs = _max_along(np.abs(zeta.values[near]), -1)
     inside = _SummedArea(domain[near], first)
-    records = []
-    # on a connected domain, a frontier exists until the domain is covered
+    covered = seed_mask.copy()
+    cuboids = []
     while (frontier := _frontier(domain, covered)) is not None:
         axis, direction, point = frontier
         c = point[axis]
@@ -611,10 +544,8 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
         box[axis] = [min(c, slab[0]), max(c + 1, slab[1])]
 
         # the box lies in the domain and its slab is covered, so a growth step
-        # tests only the layer it adds: in the domain, and covered beside the
-        # slab, which the slab's projection along axis tells; a side that
-        # fails once is dropped (see the docstring)
-        sides = [(ax, d) for ax in range(grid.dim) for d in (1, -1)
+        # tests only the layer it adds; a side that fails once is dropped
+        sides = [(ax, d) for ax in range(domain.ndim) for d in (1, -1)
                  if not (ax == axis and d == -direction)]
         beside = None
         while sides:
@@ -641,26 +572,82 @@ def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTenso
                 live.append((ax, d))
             sides = live
 
-        sub = tuple(slice(*r) for r in box)
-        held = zabs[tuple(slice(lo - f, hi - f) for (lo, hi), f in zip(box, first))]
+        cuboids.append((tuple(tuple(r) for r in box), axis, direction))
+        covered[tuple(slice(*r) for r in box)] = True
+
+    unreached = int(np.count_nonzero(domain & ~covered))
+    if unreached:
+        raise DisconnectedDomain(
+            f"{unreached} domain points are not reached from the seed region")
+    return tuple(cuboids)
+
+
+def flood_propagate(domain_mask: np.ndarray, seed, coefficient: CoefficientTensorField,
+                    zeta: VectorField, *, tol: Optional[float] = None) -> CoverageReport:
+    """Certify zeta == 0 on a voxel domain by the chain of cuboids of cover.
+
+    seed is a boolean mask of the grid's shape, like domain_mask.  Each cuboid
+    is checked, not propagated (zero face data propagates to exactly zero):
+    its face data and zeta must vanish, and the full system residual must
+    pass when it is 3 points thick on every axis.  The report stops at the
+    first failed cuboid, with the seed and the cuboids before it as its
+    covered_fraction.  Every record's residual is taken on the cuboid's block
+    of the grid as it lies, so its per_axis[j] is grid axis j.
+
+    The residual is built once, at the interior points of the domain's
+    bounding box, and a cuboid reads the block of its own interior points,
+    where its central differences are the box's.  face_max and zeta_max are
+    maxima of one field, max_i |zeta_i| on the box, over the face and the
+    block, and a maximum returns one of its inputs, NaN included.  So each
+    record is the one its block alone would give.
+    """
+    grid = zeta.grid
+    if coefficient.grid != grid:
+        raise DimensionMismatch("zeta and coefficient must share a grid")
+    domain = np.asarray(domain_mask, dtype=bool)
+    if domain.shape != grid.shape:
+        raise DimensionMismatch("domain mask shape must match the grid")
+    seed_mask = np.asarray(seed, dtype=bool)
+    cuboids = cover(domain, seed_mask)
+
+    seed_scale = float(np.max(np.abs(zeta.values[seed_mask])))
+    if tol is None:
+        tol = 1e-10 * (1.0 + seed_scale)
+    n_domain = np.count_nonzero(domain)
+    if seed_scale > tol:
+        return CoverageReport((), float(np.count_nonzero(seed_mask) / n_domain), float(tol),
+                              False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
+
+    # every cuboid lies in the domain's bounding box, so the residual and the
+    # |zeta| field are built on that block only; a cuboid has a residual only
+    # when it is 3 points thick on every axis, so a thinner block needs none
+    near = _bounding_box(domain)
+    first = [b.start for b in near]
+    by_axis = None
+    if all(b.stop - b.start >= 3 for b in near):
+        by_axis = _residual_by_axis(zeta.values[near], coefficient.values[near], grid.spacing)
+    zabs = _max_along(np.abs(zeta.values[near]), -1)
+    records = []
+    for bounds, axis, direction in cuboids:
+        held = zabs[tuple(slice(lo - f, hi - f) for (lo, hi), f in zip(bounds, first))]
         face_max = float(held[(slice(None),) * axis + (0 if direction > 0 else -1,)].max())
         zeta_max = float(held.max())
         residual = None
-        if all(hi - lo >= 3 for lo, hi in box):
+        if all(hi - lo >= 3 for lo, hi in bounds):
             residual = _residual_report(
-                by_axis[tuple(slice(lo - f, hi - 2 - f) for (lo, hi), f in zip(box, first))],
+                by_axis[tuple(slice(lo - f, hi - 2 - f) for (lo, hi), f in zip(bounds, first))],
                 RESIDUAL_TOL)
-
         passed = (face_max <= tol and zeta_max <= tol
                   and (residual is None or residual.passed))
-        record = CuboidRecord(tuple((lo, hi) for lo, hi in box), axis, direction,
-                              face_max, zeta_max, residual, passed)
-        records.append(record)
+        records.append(CuboidRecord(bounds, axis, direction, face_max, zeta_max, residual,
+                                    passed))
         if not passed:
+            covered = seed_mask.copy()
+            for earlier, _, _ in cuboids[:len(records) - 1]:
+                covered[tuple(slice(*r) for r in earlier)] = True
             return CoverageReport(tuple(records), float(np.count_nonzero(covered) / n_domain),
                                   float(tol), False,
-                                  f"cuboid {len(records) - 1} at {record.bounds} failed")
-        covered[sub] = True
+                                  f"cuboid {len(records) - 1} at {bounds} failed")
 
     return CoverageReport(tuple(records), 1.0, float(tol), True,
                           "domain covered; zeta vanishes at tolerance")

@@ -5,14 +5,32 @@ grid, and stops trying a growth side once its layer has failed.  Here each
 growth pass tries every side again until a whole pass adds nothing, and each
 cuboid's residual is fd_grad(zeta) - G zeta taken on a grid of its own block,
 so a test can ask that both pick the same cuboids and report the same values.
-The input checks of flood_propagate are left out: callers pass valid input.
+The frontier search is a copy of its own, written another way.  The input
+checks of flood_propagate are left out: callers pass valid input.
 """
 
 import numpy as np
 
 from korn_kit.fields import CoefficientTensorField, GridSpec, VectorField, fd_grad
 from korn_kit.transport import (_BASE_SLAB, RESIDUAL_TOL, CoverageReport, CuboidRecord,
-                                ResidualReport, _frontier)
+                                ResidualReport)
+
+
+def reference_frontier(domain, covered):
+    """(axis, direction, point) of the first uncovered domain point in C order whose
+    neighbour at -direction along axis is covered, axes in order, +1 before -1."""
+    for axis in range(domain.ndim):
+        for direction in (1, -1):
+            # behind[p] is covered[p - direction * e_axis], False past the grid
+            behind = np.zeros_like(covered)
+            to, frm = [slice(None)] * domain.ndim, [slice(None)] * domain.ndim
+            to[axis], frm[axis] = ((slice(1, None), slice(None, -1)) if direction > 0
+                                   else (slice(None, -1), slice(1, None)))
+            behind[tuple(to)] = covered[tuple(frm)]
+            hits = np.argwhere(domain & ~covered & behind)
+            if len(hits):
+                return axis, direction, tuple(int(i) for i in hits[0])
+    return None
 
 
 def block_residual(zeta_vals, g_vals, spacing) -> ResidualReport:
@@ -39,7 +57,7 @@ def reference_flood(domain, seed, coefficient, zeta, tol=None) -> CoverageReport
         return CoverageReport((), float(np.count_nonzero(covered) / n_domain), float(tol),
                               False, f"seed data is not zero (max {seed_scale:g} > tol {tol:g})")
     records = []
-    while (frontier := _frontier(domain, covered)) is not None:
+    while (frontier := reference_frontier(domain, covered)) is not None:
         axis, direction, point = frontier
         c = point[axis]
         line = covered[point[:axis] + (slice(None),) + point[axis + 1:]]

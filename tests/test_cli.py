@@ -686,6 +686,21 @@ class TestFloodMaskFile:
                         "--out", str(tmp_path)]) == 0
         assert read_report(tmp_path, "transport_flood.json")["domain"] == "mask_file"
 
+    def test_points_the_seed_does_not_reach_are_exit_2(self, tmp_path, capsys):
+        # two bars 3 layers apart along axis 0; the seed lies in the first
+        grid = GridSpec((9, 9, 9), (0.0,) * 3, 0.125)
+        domain = np.zeros(grid.shape + (1,))
+        domain[:3] = 1.0
+        domain[6:] = 1.0
+        fieldio.save_field(tmp_path / "mask.kfk", VectorField(grid, domain))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mask_file": str(tmp_path / "mask.kfk")}))
+        assert run_cli(["transport", "flood", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DisconnectedDomain"
+        assert err["message"].startswith("243 domain points")
+
 
 EXPERIMENT_KEYS = [(experiment, key) for experiment in cli._EXPERIMENTS
                    for key in cli._EXPERIMENTS[experiment][0]]
@@ -769,14 +784,24 @@ class TestParameterTables:
         (["korn", "eig"], {"shape": [2, 5, 5], "gamma": "none"}),
         (["korn", "probe"], {"shape": [2, 5, 5], "gamma": "none"}),
         (["korn", "eig"], {"shape": [2, 2, 2]}),
-    ], ids=["eig-free", "probe-free", "eig-clamped"])
+        (["korn", "probe"], {"shape": [2, 2, 2]}),
+        (["korn", "rigid"], {"shape": [2, 2, 2]}),
+        (["korn", "gp"], {"shape": [2, 2, 2]}),
+    ], ids=["eig-free", "probe-free", "eig-clamped", "probe-clamped", "rigid", "gp"])
     def test_korn_grid_too_small_is_typed_exit_2(self, tmp_path, capsys, command,
                                                  params):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(params))
         code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooSmall"
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", "shape")
+
+    def test_flood_takes_a_thin_grid(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [2, 2, 2]}))
+        assert run_cli(["transport", "flood", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
 
     def test_bare_field_header_names_p_file(self, tmp_path, capsys):
         (tmp_path / "bare.kfk").write_bytes(b"KFK1\n")
@@ -821,6 +846,9 @@ def _write_input_fields(tmp_path):
     save(tmp_path / "thin_face.kfk", VectorField.zeros(thin.face(-1), 3))
     save(tmp_path / "plane_p.kfk",
          MatrixField.constant(GridSpec((9, 9), (0.0,) * 2, 0.125), np.eye(2)))
+    thin_block = GridSpec((5, 2, 5), (0.0,) * 3, 0.25)
+    save(tmp_path / "thin_p.kfk", MatrixField.constant(thin_block, np.eye(3)))
+    save(tmp_path / "thin_vector.kfk", VectorField(thin_block, thin_block.points()))
 
 
 class TestInputFilesFitTheRun:
@@ -840,10 +868,15 @@ class TestInputFilesFitTheRun:
         (["korn", "eig"], {"p_file": "plane_p.kfk"}, "p_file"),
         (["korn", "probe"], {"p_file": "plane_p.kfk", "gamma": "none"}, "p_file"),
         (["korn", "gp"], {"p_file": "plane_p.kfk"}, "p_file"),
+        (["korn", "eig"], {"p_file": "thin_p.kfk"}, "p_file"),
+        (["korn", "gp"], {"p_file": "thin_p.kfk"}, "p_file"),
+        (["korn", "rigid"], {"case": "files", "phi_file": "thin_vector.kfk",
+                             "psi_file": "thin_vector.kfk"}, "phi_file"),
     ], ids=["flood-one-component-zeta", "flood-zeta-on-another-grid",
             "propagate-face-on-another-grid", "propagate-two-component-face",
             "propagate-one-point-along-the-last-axis",
-            "rigid-psi-on-another-grid", "eig-2d-p", "probe-2d-p", "gp-2d-p"])
+            "rigid-psi-on-another-grid", "eig-2d-p", "probe-2d-p", "gp-2d-p",
+            "eig-thin-p", "gp-thin-p", "rigid-thin-phi"])
     def test_misfit_file_names_its_key(self, tmp_path, capsys, monkeypatch, command,
                                        params, key):
         def refuse(*args, **kwargs):

@@ -1,21 +1,20 @@
 """Line integration, Gronwall envelopes, cube propagation, flood covering."""
 
 import math
-import time
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from korn_kit import transport
 from korn_kit.errors import (DisconnectedDomain, DimensionMismatch, FaceMismatch,
                              NonFiniteCoefficient, NotIntegrable,
                              SeedOutsideDomain)
 from korn_kit.fields import GridSpec, VectorField
 from korn_kit.transport import (CoefficientTensorField, LineCoefficient,
-                                counterexample_demo, flood_propagate,
+                                counterexample_demo, cover, flood_propagate,
                                 gronwall_bound, integrate_line, integrate_norm,
                                 propagate_cube, system_residual)
-from korn_kit.transport import _count_components
 from reference_covering import reference_flood
 
 
@@ -307,7 +306,8 @@ class TestFloodPropagate:
         domain[:3] = True
         domain[5:7] = True
         domain[9:] = True
-        with pytest.raises(DisconnectedDomain, match="domain mask has 3 components"):
+        # the seed lies in the first part: the other two hold (2 + 4) * 13 * 7 points
+        with pytest.raises(DisconnectedDomain, match="^546 domain points are not reached"):
             flood_propagate(domain, self.seed_slab(), self.coef, self.zero)
 
     def test_nonzero_seed_data_fails_early(self):
@@ -424,7 +424,7 @@ class TestCoveringChain:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_each_cuboid_grows_from_covered_points(self, dim, name, side):
         domain = _chain_domains(dim)[name]
-        assert _count_components(domain) == 1
+        assert ndimage.label(domain)[1] == 1
         grid = GridSpec(domain.shape, (0.0,) * dim, 0.1)
         rng = np.random.default_rng(dim)
         coef = CoefficientTensorField(grid, rng.uniform(-1, 1, grid.shape + (dim,) * 3))
@@ -466,6 +466,75 @@ class TestCoveringChain:
         assert report.n_cuboids == 126
 
 
+def _refuse_fields(monkeypatch):
+    """Make building the flood's residual or |zeta| field fail the test."""
+    def refuse(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(transport, "_residual_by_axis", refuse)
+    monkeypatch.setattr(transport, "_max_along", refuse)
+
+
+def _two_bars():
+    """Two 3 x 9 x 9 bars of a 9^3 grid, 3 layers apart along axis 0."""
+    domain = np.zeros((9, 9, 9), dtype=bool)
+    domain[:3] = True
+    domain[6:] = True
+    return domain
+
+
+class TestCover:
+    """The covering reads the domain and seed masks alone."""
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["near", "far"])
+    @pytest.mark.parametrize("name", ["box", "l-shape", "cut-corner", "ball",
+                                      "random-walk"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_is_the_chain_of_the_reference_records(self, dim, name, side):
+        domain, seed, coef, zeta = _chain_flood(dim, name, side, "zero")
+        records = reference_flood(domain, seed, coef, zeta).cuboids
+        assert cover(domain, seed) == tuple((rec.bounds, rec.axis, rec.direction)
+                                            for rec in records)
+
+    def test_flood_ball_needs_no_field(self, monkeypatch):
+        _refuse_fields(monkeypatch)
+        domain = _ball(21, 3)
+        seed = np.zeros_like(domain)
+        seed[:2] = domain[:2]
+        assert len(cover(domain, seed)) == 126
+
+    def test_seed_in_every_component_covers_them_all(self):
+        domain = _two_bars()
+        seed = np.zeros_like(domain)
+        seed[:, :2] = domain[:, :2]
+        grid = GridSpec(domain.shape, (0.0,) * 3, 0.125)
+        coef = CoefficientTensorField(
+            grid, np.random.default_rng(3).uniform(-1, 1, grid.shape + (3, 3, 3)))
+        report = flood_propagate(domain, seed, coef, VectorField.zeros(grid, 3))
+        assert report.passed and report.covered_fraction == 1.0
+        painted = seed.copy()
+        for rec in report.cuboids:
+            painted[tuple(slice(lo, hi) for lo, hi in rec.bounds)] = True
+        assert np.array_equal(painted, domain)
+
+    @pytest.mark.parametrize("zeta_kind", ["past-seed", "everywhere"])
+    def test_unreached_points_are_refused_before_any_record(self, monkeypatch,
+                                                            zeta_kind):
+        domain = _two_bars()
+        seed = np.zeros_like(domain)
+        seed[:2] = domain[:2]
+        grid = GridSpec(domain.shape, (0.0,) * 3, 0.125)
+        vals = np.ones(grid.shape + (3,))
+        if zeta_kind == "past-seed":
+            vals[seed] = 0.0
+        _refuse_fields(monkeypatch)
+        with pytest.raises(DisconnectedDomain, match="^243 domain points"):
+            cover(domain, seed)
+        with pytest.raises(DisconnectedDomain, match="^243 domain points"):
+            flood_propagate(domain, seed, CoefficientTensorField.zeros(grid),
+                            VectorField(grid, vals))
+
+
 def _chain_flood(dim, name, side, zeta_kind, margin=False):
     """A flood over one of _chain_domains, with zero or seeded 1e-13-noise zeta;
     with margin, the domain sits inside a larger grid, apart from its faces."""
@@ -502,6 +571,29 @@ class TestCoveringMatchesReference:
                      if rec.residual is not None]
         # the noise leaves no residual at zero, so the values are compared too
         assert all((r > 0.0) == (zeta_kind == "noise") for r in residuals)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["near", "far"])
+    @pytest.mark.parametrize("name", ["box", "l-shape", "cut-corner", "ball",
+                                      "random-walk"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_failing_flood_equals_reference_loop(self, dim, name, side):
+        # zeta = 1 on the points that the middle cuboid of the zero flood
+        # reaches first, so the flood fails at that cuboid
+        domain, seed, coef, zeta = _chain_flood(dim, name, side, "zero")
+        records = reference_flood(domain, seed, coef, zeta).cuboids
+        k = len(records) // 2
+        earlier = seed.copy()
+        for rec in records[:k]:
+            earlier[tuple(slice(lo, hi) for lo, hi in rec.bounds)] = True
+        vals = np.zeros_like(zeta.values)
+        vals[tuple(slice(lo, hi) for lo, hi in records[k].bounds)] = 1.0
+        vals[earlier] = 0.0
+        zeta = VectorField(zeta.grid, vals)
+        report = flood_propagate(domain, seed, coef, zeta)
+        assert report == reference_flood(domain, seed, coef, zeta)
+        assert report.n_cuboids == k + 1 and not report.passed
+        share = np.count_nonzero(earlier) / np.count_nonzero(domain)
+        assert report.covered_fraction == share
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_record_residual_is_that_of_its_block(self, dim):
@@ -575,47 +667,3 @@ class TestCoefficientTensorField:
         grid = GridSpec((4, 4, 4), (0.0,) * 3, 0.25)
         with pytest.raises(ValueError):
             CoefficientTensorField(grid, np.zeros(grid.shape + (3, 3)))
-
-
-def serpentine_mask(n):
-    """One voxel-wide path that winds through every other row and plane of n^3."""
-    plane = np.zeros((n, n), dtype=bool)
-    plane[::2] = True
-    for j in range(1, n, 2):  # row j - 1 turns into row j + 1 at alternating ends
-        plane[j, n - 1 if j % 4 == 1 else 0] = True
-    mask = np.zeros((n, n, n), dtype=bool)
-    mask[0::4] = plane
-    mask[2::4] = plane[::-1, ::-1]  # starts where the plane before it ends
-    end = np.argwhere(plane)[-1]
-    mask[1::4, end[0], end[1]] = True
-    mask[3::4, 0, 0] = True
-    return mask
-
-
-class TestCountComponents:
-    """The flood's connectivity check against ndimage.label's face connectivity."""
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_ndimage_on_seeded_random_masks(self, dim):
-        rng = np.random.default_rng(dim)
-        for _ in range(80):
-            shape = tuple(int(n) for n in rng.integers(1, 10, size=dim))
-            mask = rng.random(shape) < rng.uniform(0.1, 0.9)
-            assert _count_components(mask) == ndimage.label(mask)[1]
-
-    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (5, 6), (1, 1, 1), (4, 5, 6)])
-    def test_empty_and_single_voxel(self, shape):
-        mask = np.zeros(shape, dtype=bool)
-        assert _count_components(mask) == 0 == ndimage.label(mask)[1]
-        mask[tuple(n // 2 for n in shape)] = True
-        assert _count_components(mask) == 1 == ndimage.label(mask)[1]
-
-    @pytest.mark.parametrize("name", ["serpentine", "random-60"])
-    def test_65_cubed_counts_correctly_within_a_second(self, name):
-        mask = (serpentine_mask(65) if name == "serpentine"
-                else np.random.default_rng(65).random((65, 65, 65)) < 0.6)
-        start = time.perf_counter()
-        count = _count_components(mask)
-        elapsed = time.perf_counter() - start
-        assert count == ndimage.label(mask)[1]
-        assert elapsed < 1.0
