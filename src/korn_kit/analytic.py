@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import UnknownKind
 from .fields import GridSpec, MatrixField, VectorField
 
 
@@ -246,37 +245,3 @@ def random_trig_matrix(seed, amplitude=1.0, wavenumber=1.0) -> TrigMatrixField:
 def random_trig_vector(seed, amplitude=1.0, wavenumber=1.0) -> TrigVectorField:
     return _random_trig(TrigVectorField, (3,), seed, amplitude, wavenumber)
 
-
-_KINDS = ("polynomial", "trigonometric", "rotation-valued")
-
-
-def make_analytic_field(kind: str, shape: str = "matrix", **params):
-    """Factory for the manufactured-field families.
-
-    kind is one of 'polynomial', 'trigonometric' or 'rotation-valued';
-    shape selects 'matrix' or 'vector' (rotation fields are matrix-only).
-    Remaining keyword arguments are forwarded to the family constructor;
-    families named by a seed are deterministic in it.
-    """
-    if kind not in _KINDS:
-        raise UnknownKind(f"unknown analytic field kind {kind!r}; choose from {_KINDS}")
-    if shape not in ("matrix", "vector"):
-        raise UnknownKind(f"shape must be 'matrix' or 'vector', got {shape!r}")
-    if kind == "polynomial":
-        if "coeffs" in params:
-            cls = PolynomialMatrixField if shape == "matrix" else PolynomialVectorField
-            return cls(np.asarray(params["coeffs"], dtype=float),
-                       np.asarray(params["exponents"], dtype=int))
-        maker = random_polynomial_matrix if shape == "matrix" else random_polynomial_vector
-        return maker(**params)
-    if kind == "trigonometric":
-        if "amplitude" in params and np.ndim(params["amplitude"]) > 0:
-            cls = TrigMatrixField if shape == "matrix" else TrigVectorField
-            return cls(np.asarray(params["amplitude"], dtype=float),
-                       np.asarray(params["wave"], dtype=float),
-                       np.asarray(params["phase"], dtype=float))
-        maker = random_trig_matrix if shape == "matrix" else random_trig_vector
-        return maker(**params)
-    if shape != "matrix":
-        raise UnknownKind("rotation-valued fields are matrix-valued")
-    return RotationMatrixField(**params)

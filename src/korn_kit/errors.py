@@ -22,7 +22,7 @@ class DimensionMismatch(KornKitError):
 
 
 class UnknownKind(KornKitError):
-    """Requested analytic field family does not exist."""
+    """Requested coefficient family does not exist."""
 
 
 class NonFiniteCoefficient(KornKitError):

@@ -62,8 +62,10 @@ class GridSpec:
             raise ValueError("origin length must match grid dimension")
         if any(n < 1 for n in shape):
             raise ValueError("grid shape entries must be positive")
-        if self.spacing <= 0.0:
-            raise ValueError("grid spacing must be positive")
+        if not all(math.isfinite(c) for c in origin):
+            raise ValueError(f"grid origin must be finite, got {origin}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
         if self.num_points > POINT_CAP:
             raise GridTooLarge(f"grid has {self.num_points} points, cap is {POINT_CAP}")
 

@@ -179,29 +179,23 @@ def assemble_form(problem: KornProblem) -> DiscreteForm:
     h = grid.spacing
     d_ops = _gradient_operators(grid)
     unit_rows = [sp.csr_matrix((np.ones(1), ([0], [i])), shape=(1, 3)) for i in range(3)]
-    # grad_op[i][k]: (npts, 3 npts) operator for d_k u_i
-    grad_op = [[sp.kron(d_ops[k], unit_rows[i], format="csr") for k in range(3)]
-               for i in range(3)]
 
+    # d_j = sum_k diag(P^-1[:, k, j]) D_k; d_j u_i is the (i, j) entry of grad(u) P^-1
     p_inv = np.linalg.inv(problem.P.values).reshape(npts, 3, 3)
-    m_ops = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = None
-            for k in range(3):
-                term = sp.diags(p_inv[:, k, j]) @ grad_op[i][k]
-                acc = term if acc is None else acc + term
-            m_ops[i][j] = acc
-    blocks = []
-    for i in range(3):
-        for j in range(3):
-            blocks.append(0.5 * (m_ops[i][j] + m_ops[j][i]))
+    dirs = []
+    for j in range(3):
+        t0, t1, t2 = (sp.diags(p_inv[:, k, j]) @ d_ops[k] for k in range(3))
+        dirs.append(t0 + t1 + t2)
+    blocks = [0.5 * (sp.kron(dirs[j], unit_rows[i], format="csr")
+                     + sp.kron(dirs[i], unit_rows[j], format="csr"))
+              for i in range(3) for j in range(3)]
     b = sp.vstack(blocks, format="csr")
     operator = (h ** 3) * (b.T @ b)
     operator = 0.5 * (operator + operator.T)
 
-    grad_stack = sp.vstack([grad_op[i][k] for i in range(3) for k in range(3)],
-                           format="csr")
+    # (npts, 3 npts) operator for d_k u_i, rows ordered (i, k)
+    grad_stack = sp.vstack([sp.kron(d_ops[k], unit_rows[i], format="csr")
+                            for i in range(3) for k in range(3)], format="csr")
     eye = sp.identity(3 * npts, format="csr")
     gram_l2 = (h ** 3) * eye
     gram_h1 = (h ** 3) * (eye + grad_stack.T @ grad_stack)

@@ -26,7 +26,6 @@ the vector and matrix fields and importable from here as well.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -162,53 +161,36 @@ class LineCoefficient:
         return cls(lambda t: m, tuple(interval), m.shape[0])
 
 
-class GronwallBound:
-    """Envelope x -> |zeta(a)| * exp(int_a^x |G|), with cached quadrature.
+def gronwall_bound(coefficient: LineCoefficient,
+                   initial_norm: float) -> Callable[[float], float]:
+    """Envelope x -> |zeta(a)| * exp(int_a^x |G|) for solutions of zeta' = G zeta.
 
-    Calls raise NotIntegrable when the norm integral diverges on [a, x].
+    Each call integrates the norm from a.  It raises ValueError for x outside
+    the interval and NotIntegrable when the norm integral diverges on [a, x].
     """
+    if initial_norm < 0:
+        raise ValueError("initial_norm must be non-negative")
+    initial_norm = float(initial_norm)
+    a, b = coefficient.interval
 
-    def __init__(self, coefficient: LineCoefficient, initial_norm: float):
-        if initial_norm < 0:
-            raise ValueError("initial_norm must be non-negative")
-        self.coefficient = coefficient
-        self.initial_norm = float(initial_norm)
-        a, _ = coefficient.interval
-        self._xs = [a]
-        self._cums = [0.0]
-
-    def cumulative(self, x: float) -> float:
-        a, b = self.coefficient.interval
+    def bound(x: float) -> float:
         if not a <= x <= b:
             raise ValueError(f"x={x:g} outside [{a:g}, {b:g}]")
-        i = bisect.bisect_right(self._xs, x) - 1
-        x0, c0 = self._xs[i], self._cums[i]
-        if x == x0:
-            return c0
-        value, divergent = integrate_norm(self.coefficient.norm_at, x0, x)
-        if divergent or c0 + value > QUAD_VALUE_CAP:
+        if x == a:
+            return initial_norm
+        value, divergent = integrate_norm(coefficient.norm_at, a, x)
+        if divergent or value > QUAD_VALUE_CAP:
             raise NotIntegrable(
                 f"norm integral diverges on [{a:g}, {x:g}] "
-                f"(estimate {c0 + value:g}, cap {QUAD_VALUE_CAP:g})")
-        c = c0 + value
-        j = bisect.bisect_left(self._xs, x)
-        self._xs.insert(j, x)
-        self._cums.insert(j, c)
-        return c
-
-    def __call__(self, x: float) -> float:
-        c = self.cumulative(x)
-        if self.initial_norm == 0.0:
+                f"(estimate {value:g}, cap {QUAD_VALUE_CAP:g})")
+        if initial_norm == 0.0:
             return 0.0
         try:
-            return self.initial_norm * math.exp(c)
+            return initial_norm * math.exp(value)
         except OverflowError:
             return math.inf
 
-
-def gronwall_bound(coefficient: LineCoefficient, initial_norm: float) -> GronwallBound:
-    """Bound function for solutions of zeta' = G zeta with |zeta(a)| given."""
-    return GronwallBound(coefficient, initial_norm)
+    return bound
 
 
 @dataclass(frozen=True)

@@ -701,6 +701,25 @@ class TestFloodMaskFile:
         assert err["type"] == "DisconnectedDomain"
         assert err["message"].startswith("243 domain points")
 
+    @pytest.mark.parametrize("spacing, origin", [("nan", "0.0"), ("inf", "0.0"),
+                                                 ("0.125", "nan")],
+                             ids=["nan-spacing", "inf-spacing", "nan-origin"])
+    def test_non_finite_header_is_exit_2(self, tmp_path, capsys, spacing, origin):
+        grid = GridSpec((9, 9, 9), (0.0,) * 3, 0.125)
+        path = tmp_path / "mask.kfk"
+        fieldio.save_field(path, VectorField(grid, np.ones(grid.shape + (1,))))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        tokens = header.split()
+        tokens[-4], tokens[-1] = origin.encode(), spacing.encode()
+        path.write_bytes(b" ".join(tokens) + b"\n" + payload)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mask_file": str(path)}))
+        assert run_cli(["transport", "flood", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "mask_file")
+        assert "finite" in err["message"]
+
 
 EXPERIMENT_KEYS = [(experiment, key) for experiment in cli._EXPERIMENTS
                    for key in cli._EXPERIMENTS[experiment][0]]

@@ -79,24 +79,6 @@ def test_rejects_truncated_payload(tmp_path, grid):
         fieldio.load_field(path)
 
 
-def test_csv_roundtrip(tmp_path, grid):
-    rng = np.random.default_rng(3)
-    f = MatrixField(grid, rng.uniform(-1, 1, grid.shape + (3, 3)))
-    path = tmp_path / "m.csv"
-    fieldio.save_field_csv(path, f)
-    back = fieldio.load_field_csv(path)
-    assert isinstance(back, MatrixField)
-    assert back.grid == grid
-    assert np.array_equal(back.values, f.values)
-
-
-def test_csv_point_cap(tmp_path):
-    big = GridSpec((30, 30, 30), (0.0,) * 3, 0.1)
-    f = VectorField.zeros(big, 3)
-    with pytest.raises(ValueError):
-        fieldio.save_field_csv(tmp_path / "big.csv", f)
-
-
 def test_face_vector_field_roundtrip(tmp_path):
     # 3 components on a 2d grid: stays a vector field on load
     face = GridSpec((6, 7), (0.0, 0.0), 0.5)

@@ -1,13 +1,13 @@
 """Grid fields, finite differences, and the field-level product identity."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from korn_kit import algebra, analytic, fields
-from korn_kit.errors import (DimensionMismatch, GridTooLarge, GridTooSmall,
-                             UnknownKind)
+from korn_kit.errors import DimensionMismatch, GridTooLarge, GridTooSmall
 from korn_kit.fields import (POINT_CAP, CoefficientTensorField, ConvergenceReport,
                              GridSpec, MatrixField, VectorField,
                              curl_product_discrepancy,
@@ -51,6 +51,16 @@ class TestGridSpec:
     def test_point_cap(self):
         with pytest.raises(ValueError):
             GridSpec((4096, 4096, 4096), (0.0, 0.0, 0.0), 0.1)
+
+    @pytest.mark.parametrize("origin, spacing", [
+        ((0.0, 0.0, 0.0), math.nan), ((0.0, 0.0, 0.0), math.inf),
+        ((0.0, 0.0, 0.0), -math.inf), ((0.0, math.nan, 0.0), 0.1),
+        ((0.0, 0.0, -math.inf), 0.1)],
+        ids=["nan-spacing", "inf-spacing", "minus-inf-spacing", "nan-origin",
+             "inf-origin"])
+    def test_non_finite_geometry_refused(self, origin, spacing):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec((3, 3, 3), origin, spacing)
 
     def test_point_cap_is_typed(self):
         with pytest.raises(GridTooLarge):
@@ -536,17 +546,15 @@ class TestConvergenceReport:
 
 class TestMakeAnalyticField:
     def test_polynomial_degree_zero_constant(self):
-        case = analytic.make_analytic_field(
-            "polynomial", coeffs=np.full((3, 3, 1), 2.0),
-            exponents=np.zeros((1, 3), dtype=int))
+        case = analytic.PolynomialMatrixField(np.full((3, 3, 1), 2.0),
+                                              np.zeros((1, 3), dtype=int))
         g = unit_grid(4)
         assert np.array_equal(case.sample(g).values,
                               np.full(g.shape + (3, 3), 2.0))
 
     def test_rotation_valued_in_so3(self):
-        case = analytic.make_analytic_field(
-            "rotation-valued", axis=(1.0, 1.0, 0.5), base=0.3,
-            lin=(0.7, 0.2, -0.4))
+        case = analytic.RotationMatrixField(axis=(1.0, 1.0, 0.5), base=0.3,
+                                            lin=(0.7, 0.2, -0.4))
         g = unit_grid(5)
         values = case.sample(g).values
         dets = np.linalg.det(values)
@@ -591,13 +599,6 @@ class TestMakeAnalyticField:
                                         np.ones((3, 3, 3)), np.zeros((3, 3)))
         g = unit_grid(4)
         assert np.array_equal(case.sample(g).values, np.zeros(g.shape + (3, 3)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
-            analytic.make_analytic_field("wavelet")
-        with pytest.raises(UnknownKind):
-            analytic.make_analytic_field("rotation-valued", shape="vector",
-                                         axis=(0, 0, 1))
 
     def test_entry_jacobian_consistent_with_fd(self):
         case = analytic.RotationMatrixField(axis=(0.0, 0.0, 1.0), base=0.1,

@@ -111,6 +111,27 @@ class TestQuadratureAndGronwall:
         with pytest.raises(NotIntegrable):
             bound(1.0)
 
+    def test_bound_at_start_is_initial_norm(self):
+        coef = bounded_coefficient(2, interval=(0.25, 1.0))
+        assert gronwall_bound(coef, 1.5)(0.25) == 1.5
+        assert gronwall_bound(coef, 0.0)(0.25) == 0.0
+
+    @pytest.mark.parametrize("x", [0.25 - 1e-9, 1.0 + 1e-9, -1.0, 2.0])
+    def test_bound_outside_interval_raises(self, x):
+        bound = gronwall_bound(bounded_coefficient(3, interval=(0.25, 1.0)), 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            bound(x)
+
+    def test_negative_initial_norm_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gronwall_bound(bounded_coefficient(4), -1e-12)
+
+    def test_overflowing_envelope_is_inf(self):
+        # int_0^1 |G| = 1000 is below the quadrature cap, exp(1000) overflows
+        coef = LineCoefficient.constant([[1000.0]], (0.0, 1.0))
+        assert gronwall_bound(coef, 1.0)(1.0) == math.inf
+        assert gronwall_bound(coef, 0.0)(1.0) == 0.0
+
     def test_integrability_report_truncated_oracle(self):
         eps = 1e-3
         coef = LineCoefficient(
