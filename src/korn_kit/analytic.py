@@ -37,32 +37,32 @@ def _monomial_derivatives(points, exponents):
     return out
 
 
-class AnalyticVectorField:
-    """Sampling shared by the vector families, which define value and jacobian."""
+class AnalyticField:
+    """Sampling, entry gradients and curl shared by the families.
 
-    def sample(self, grid: GridSpec) -> VectorField:
-        return VectorField(grid, self.value(grid.points()))
-
-    def sample_jacobian(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.jacobian(grid.points()))
-
-
-class AnalyticMatrixField:
-    """Curl and sampling shared by the matrix families.
-
-    A family defines value and entry_jacobian, the vec-ordered entry
-    gradients of shape (..., 9, 3), at points of shape (..., 3).
+    A family defines value and jacobian at points of shape (..., 3): the
+    value has the per-point shape (3,) or (3, 3) of the family's arrays, and
+    the jacobian appends the derivative axis j, so its last axis is d_j.
     """
 
-    def curl(self, points):
-        grad27 = self.entry_jacobian(points)
-        # row l of the curl; the moved view has d[c][j] = d_j M_lc
-        return np.stack([algebra.curl_row(np.moveaxis(grad27[..., 3 * l:3 * l + 3, :],
-                                                      (-2, -1), (0, 1)))
-                         for l in range(3)], axis=-2)
+    def sample(self, grid: GridSpec) -> VectorField | MatrixField:
+        points = grid.points()
+        values = self.value(points)
+        return (VectorField if values.ndim == points.ndim else MatrixField)(grid, values)
 
-    def sample(self, grid: GridSpec) -> MatrixField:
-        return MatrixField(grid, self.value(grid.points()))
+    def sample_jacobian(self, grid: GridSpec) -> MatrixField:
+        """The jacobian of a vector family on grid."""
+        return MatrixField(grid, self.jacobian(grid.points()))
+
+    def entry_jacobian(self, points):
+        """The vec-ordered entry gradients (..., 9, 3) of a matrix family."""
+        grad = self.jacobian(points)
+        return grad.reshape(grad.shape[:-3] + (9, 3))
+
+    def curl(self, points):
+        """Curl of a vector family, or the row-wise curl of a matrix family."""
+        # the moved view has d[c][j] = d_j F_c, with any row index last
+        return algebra.curl_row(np.moveaxis(self.jacobian(points), (-2, -1), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -74,93 +74,69 @@ class LazyMatrixSample:
     whole-grid array is made.
     """
 
-    family: AnalyticMatrixField
+    family: AnalyticField
     grid: GridSpec
 
     def sample_planes(self, start: int, stop: int) -> np.ndarray:
         return self.family.value(self.grid.plane_points(start, stop))
 
 
+def _lead(array):
+    # einsum letters of the per-point axes, all but array's last: "c" for a
+    # vector family, "rc" for a matrix family
+    return "rc"[3 - array.ndim:]
+
+
 @dataclass(frozen=True)
-class PolynomialVectorField(AnalyticVectorField):
-    """Vector field with polynomial components: coeffs (3, T), exponents (T, 3)."""
+class PolynomialField(AnalyticField):
+    """Polynomial components: coeffs (3, T) or (3, 3, T), exponents (T, 3)."""
 
     coeffs: np.ndarray
     exponents: np.ndarray
 
     def value(self, points):
-        return np.einsum("ct,...t->...c", self.coeffs, _monomials(points, self.exponents))
+        lead = _lead(self.coeffs)
+        return np.einsum(f"{lead}t,...t->...{lead}", self.coeffs,
+                         _monomials(points, self.exponents))
 
     def jacobian(self, points):
-        d = _monomial_derivatives(points, self.exponents)
-        return np.einsum("ct,...tj->...cj", self.coeffs, d)
+        lead = _lead(self.coeffs)
+        return np.einsum(f"{lead}t,...tj->...{lead}j", self.coeffs,
+                         _monomial_derivatives(points, self.exponents))
 
 
 @dataclass(frozen=True)
-class PolynomialMatrixField(AnalyticMatrixField):
-    """Matrix field with polynomial entries: coeffs (3, 3, T), exponents (T, 3)."""
+class TrigField(AnalyticField):
+    """Components amp * sin(wave . x + phase): amplitude and phase (3,) or
+    (3, 3), wave the same with a trailing axis of 3."""
 
-    coeffs: np.ndarray
-    exponents: np.ndarray
+    amplitude: np.ndarray
+    wave: np.ndarray
+    phase: np.ndarray
 
-    def value(self, points):
-        return np.einsum("rct,...t->...rc", self.coeffs, _monomials(points, self.exponents))
-
-    def entry_jacobian(self, points):
-        d = _monomial_derivatives(points, self.exponents)
-        grad = np.einsum("rct,...tj->...rcj", self.coeffs, d)
-        return grad.reshape(grad.shape[:-3] + (9, 3))
-
-
-@dataclass(frozen=True)
-class TrigMatrixField(AnalyticMatrixField):
-    """Matrix field with entries amp * sin(wave . x + phase)."""
-
-    amplitude: np.ndarray  # (3, 3)
-    wave: np.ndarray       # (3, 3, 3)
-    phase: np.ndarray      # (3, 3)
+    def _wave_dot(self, points):
+        lead = _lead(self.wave)
+        return np.einsum(f"{lead}j,...j->...{lead}", self.wave, points)
 
     def value(self, points):
         # one output-sized buffer: the phase, sine and amplitude act in place
-        out = np.einsum("rcj,...j->...rc", self.wave, points)
-        out += self.phase
-        np.sin(out, out=out)
-        out *= self.amplitude
-        return out
-
-    def entry_jacobian(self, points):
-        arg = np.einsum("rcj,...j->...rc", self.wave, points) + self.phase
-        grad = (self.amplitude * np.cos(arg))[..., None] * self.wave
-        return grad.reshape(grad.shape[:-3] + (9, 3))
-
-
-@dataclass(frozen=True)
-class TrigVectorField(AnalyticVectorField):
-    """Vector field with components amp * sin(wave . x + phase)."""
-
-    amplitude: np.ndarray  # (3,)
-    wave: np.ndarray       # (3, 3)
-    phase: np.ndarray      # (3,)
-
-    def value(self, points):
-        out = np.einsum("cj,...j->...c", self.wave, points)
+        out = self._wave_dot(points)
         out += self.phase
         np.sin(out, out=out)
         out *= self.amplitude
         return out
 
     def jacobian(self, points):
-        arg = np.einsum("cj,...j->...c", self.wave, points) + self.phase
+        arg = self._wave_dot(points) + self.phase
         return (self.amplitude * np.cos(arg))[..., None] * self.wave
 
 
 @dataclass(frozen=True)
-class RotationMatrixField(AnalyticMatrixField):
+class RotationMatrixField(AnalyticField):
     """Rotation-valued field R(theta(x)) about a fixed unit axis.
 
-    theta(x) = base + lin . x + amp * sin(freq . x + phase), so the entry
-    gradients follow from dR/dtheta = cos(theta) K + sin(theta) K^2 with
-    K = smat(axis).
+    theta(x) = base + lin . x + amp * sin(freq . x + phase), so the jacobian
+    follows from dR/dtheta = cos(theta) K + sin(theta) K^2 with K = smat(axis).
     """
 
     axis: np.ndarray
@@ -171,12 +147,10 @@ class RotationMatrixField(AnalyticMatrixField):
     phase: float = 0.0
 
     def _theta(self, points):
-        lin = np.asarray(self.lin, dtype=float)
-        freq = np.asarray(self.freq, dtype=float)
-        theta = self.base + points @ lin + self.amp * np.sin(points @ freq + self.phase)
-        dtheta = np.broadcast_to(lin, points.shape).copy()
-        dtheta = dtheta + (self.amp * np.cos(points @ freq + self.phase))[..., None] * freq
-        return theta, dtheta
+        """theta at points, and the argument of its sine."""
+        arg = points @ np.asarray(self.freq, dtype=float) + self.phase
+        return (self.base + points @ np.asarray(self.lin, dtype=float)
+                + self.amp * np.sin(arg)), arg
 
     def _k(self):
         axis = np.asarray(self.axis, dtype=float)
@@ -186,17 +160,17 @@ class RotationMatrixField(AnalyticMatrixField):
     def value(self, points):
         theta, _ = self._theta(points)
         k, k2 = self._k()
-        eye = np.eye(3)
-        return (eye + np.sin(theta)[..., None, None] * k
+        return (np.eye(3) + np.sin(theta)[..., None, None] * k
                 + (1.0 - np.cos(theta))[..., None, None] * k2)
 
-    def entry_jacobian(self, points):
-        theta, dtheta = self._theta(points)
+    def jacobian(self, points):
+        theta, arg = self._theta(points)
+        dtheta = (np.asarray(self.lin, dtype=float)
+                  + (self.amp * np.cos(arg))[..., None] * np.asarray(self.freq, dtype=float))
         k, k2 = self._k()
         dr_dtheta = (np.cos(theta)[..., None, None] * k
                      + np.sin(theta)[..., None, None] * k2)
-        grad = dr_dtheta[..., :, :, None] * dtheta[..., None, None, :]
-        return grad.reshape(grad.shape[:-3] + (9, 3))
+        return dr_dtheta[..., :, :, None] * dtheta[..., None, None, :]
 
 
 def _quadratic_exponents(per_axis_degree, total_degree):
@@ -210,38 +184,33 @@ def _quadratic_exponents(per_axis_degree, total_degree):
     return np.array(exps, dtype=int)
 
 
-def _random_polynomial(cls, lead, seed, per_axis_degree, total_degree):
+def _random_polynomial(lead, seed, per_axis_degree, total_degree):
     rng = np.random.default_rng(seed)
     exps = _quadratic_exponents(per_axis_degree, total_degree)
-    return cls(rng.uniform(-1.0, 1.0, lead + (len(exps),)), exps)
+    return PolynomialField(rng.uniform(-1.0, 1.0, lead + (len(exps),)), exps)
 
 
-def _random_trig(cls, lead, seed, amplitude, wavenumber):
+def _random_trig(lead, seed, amplitude, wavenumber):
     # the draw order, amplitudes then wave vectors then phases, fixes each seed's field
     rng = np.random.default_rng(seed)
-    return cls(amplitude * rng.uniform(0.5, 1.0, lead),
-               wavenumber * rng.uniform(-1.0, 1.0, lead + (3,)),
-               rng.uniform(0.0, 2.0 * np.pi, lead))
+    return TrigField(amplitude * rng.uniform(0.5, 1.0, lead),
+                     wavenumber * rng.uniform(-1.0, 1.0, lead + (3,)),
+                     rng.uniform(0.0, 2.0 * np.pi, lead))
 
 
-def random_polynomial_matrix(seed, per_axis_degree=1,
-                             total_degree=2) -> PolynomialMatrixField:
+def random_polynomial_matrix(seed, per_axis_degree=1, total_degree=2) -> PolynomialField:
     """Seeded polynomial matrix field; per-axis degree 1 keeps products
     stencil-exact under second-order differences."""
-    return _random_polynomial(PolynomialMatrixField, (3, 3), seed, per_axis_degree,
-                              total_degree)
+    return _random_polynomial((3, 3), seed, per_axis_degree, total_degree)
 
 
-def random_polynomial_vector(seed, per_axis_degree=1,
-                             total_degree=2) -> PolynomialVectorField:
-    return _random_polynomial(PolynomialVectorField, (3,), seed, per_axis_degree,
-                              total_degree)
+def random_polynomial_vector(seed, per_axis_degree=1, total_degree=2) -> PolynomialField:
+    return _random_polynomial((3,), seed, per_axis_degree, total_degree)
 
 
-def random_trig_matrix(seed, amplitude=1.0, wavenumber=1.0) -> TrigMatrixField:
-    return _random_trig(TrigMatrixField, (3, 3), seed, amplitude, wavenumber)
+def random_trig_matrix(seed, amplitude=1.0, wavenumber=1.0) -> TrigField:
+    return _random_trig((3, 3), seed, amplitude, wavenumber)
 
 
-def random_trig_vector(seed, amplitude=1.0, wavenumber=1.0) -> TrigVectorField:
-    return _random_trig(TrigVectorField, (3,), seed, amplitude, wavenumber)
-
+def random_trig_vector(seed, amplitude=1.0, wavenumber=1.0) -> TrigField:
+    return _random_trig((3,), seed, amplitude, wavenumber)

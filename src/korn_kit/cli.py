@@ -86,7 +86,9 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
     run_seed = _int_at_least(0)(
         "seed", document.get("seed", 0) if seed is None else seed)
     run_tol = _optional(_positive)("tol", document.get("tol") if tol is None else tol)
-    out_dir = Path(out if out is not None else document.get("out", "korn-kit-out"))
+    # the document's out is checked even where the out keyword overrides it
+    document_out = _path("out", document.get("out", "korn-kit-out"))
+    out_dir = Path(out if out is not None else document_out)
 
     effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
                  "tol": run_tol, **params}

@@ -75,7 +75,7 @@ class GridSpec:
 
     @property
     def num_points(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axes(self):
         """Per-axis coordinate arrays."""

@@ -92,6 +92,15 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
 
+    def test_grid_whose_point_count_wraps_is_typed(self, tmp_path, capsys):
+        # 2**64 points, which an int64 product counts as 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [2 ** 32, 2 ** 32, 1]}))
+        code = run_cli(["transport", "flood", "--config", str(cfg),
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
+
     @pytest.mark.parametrize("command, params", [
         (["verify-curl"], {"shape": 1}),
         (["korn", "eig"], {"shape": [5, 5, 0], "spacing": None}),
@@ -767,12 +776,16 @@ class TestParameterTables:
         (["verify-curl"], {"case": "trigonometric", "shape": 9, "levels": 2,
                            "min_order": "x"}, "min_order"),
         (["verify-curl"], {"tol": "abc"}, "tol"),
+        (["algebra", "selftest"], {"out": 5}, "out"),
+        (["algebra", "selftest"], {"out": ["a"]}, "out"),
+        (["algebra", "selftest"], {"out": ""}, "out"),
     ], ids=["propagate-float-steps", "counterexample-float-steps", "flood-float-arm",
             "selftest-negative-tol-skew", "propagate-string-steps",
             "propagate-string-scale", "flood-string-scale",
             "propagate-short-face-value", "propagate-zero-face-value",
             "counterexample-negative-epsilon", "counterexample-string-epsilon",
-            "selftest-string-tol-det", "curl-string-min-order", "curl-string-tol"])
+            "selftest-string-tol-det", "curl-string-min-order", "curl-string-tol",
+            "selftest-number-out", "selftest-list-out", "selftest-empty-out"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, params, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(params))

@@ -66,6 +66,11 @@ class TestGridSpec:
         with pytest.raises(GridTooLarge):
             GridSpec((257,) * 3, (0.0,) * 3, 1.0 / 256)
 
+    def test_point_count_does_not_wrap(self):
+        # 2**64 points: an int64 product wraps to 0 and would pass the cap
+        with pytest.raises(GridTooLarge):
+            GridSpec((2 ** 32, 2 ** 32, 1), (0.0,) * 3, 1.0)
+
     def test_face_grid(self):
         g = unit_grid(5)
         f = g.face(-1)
@@ -546,8 +551,8 @@ class TestConvergenceReport:
 
 class TestMakeAnalyticField:
     def test_polynomial_degree_zero_constant(self):
-        case = analytic.PolynomialMatrixField(np.full((3, 3, 1), 2.0),
-                                              np.zeros((1, 3), dtype=int))
+        case = analytic.PolynomialField(np.full((3, 3, 1), 2.0),
+                                        np.zeros((1, 3), dtype=int))
         g = unit_grid(4)
         assert np.array_equal(case.sample(g).values,
                               np.full(g.shape + (3, 3), 2.0))
@@ -595,10 +600,37 @@ class TestMakeAnalyticField:
         assert peak <= 1.5 * values.nbytes
 
     def test_trig_zero_amplitude(self):
-        case = analytic.TrigMatrixField(np.zeros((3, 3)),
-                                        np.ones((3, 3, 3)), np.zeros((3, 3)))
+        case = analytic.TrigField(np.zeros((3, 3)),
+                                  np.ones((3, 3, 3)), np.zeros((3, 3)))
         g = unit_grid(4)
         assert np.array_equal(case.sample(g).values, np.zeros(g.shape + (3, 3)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matrix_trig_rows_are_vector_trig_fields(self, seed):
+        case = analytic.random_trig_matrix(seed, wavenumber=2.0)
+        points = GridSpec((5, 4, 6), (0.2, -0.1, 0.4), 0.13).points()
+        for i in range(3):
+            row = analytic.TrigField(case.amplitude[i], case.wave[i], case.phase[i])
+            assert np.array_equal(case.value(points)[..., i, :], row.value(points))
+            assert np.array_equal(case.jacobian(points)[..., i, :, :],
+                                  row.jacobian(points))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matrix_polynomial_rows_are_vector_polynomial_fields(self, seed):
+        case = analytic.random_polynomial_matrix(seed, per_axis_degree=2)
+        points = GridSpec((5, 4, 6), (0.2, -0.1, 0.4), 0.13).points()
+        for i in range(3):
+            row = analytic.PolynomialField(case.coeffs[i], case.exponents)
+            assert np.array_equal(case.value(points)[..., i, :], row.value(points))
+            assert np.array_equal(case.jacobian(points)[..., i, :, :],
+                                  row.jacobian(points))
+
+    def test_sample_type_follows_the_value_shape(self):
+        g = unit_grid(4)
+        vector = analytic.random_trig_vector(1).sample(g)
+        matrix = analytic.random_trig_matrix(1).sample(g)
+        assert type(vector) is VectorField and vector.values.shape == g.shape + (3,)
+        assert type(matrix) is MatrixField and matrix.values.shape == g.shape + (3, 3)
 
     def test_entry_jacobian_consistent_with_fd(self):
         case = analytic.RotationMatrixField(axis=(0.0, 0.0, 1.0), base=0.1,
