@@ -11,7 +11,7 @@ from .errors import (ConfigError, DeterminantTooSmall, DimensionMismatch,
                      UnknownKind)
 from .fields import (CoefficientTensorField, ConvergenceReport, GridSpec,
                      MatrixField, VectorField, curl_product_discrepancy,
-                     fd_curl_rowwise, fd_entry_gradients, fd_grad,
+                     fd_curl_rowwise, fd_grad,
                      refinement_errors)
 from .fieldio import load_field, save_field
 from .korn import (DiscreteForm, KornProblem, ProbeReport, RayleighResult,
@@ -19,11 +19,10 @@ from .korn import (DiscreteForm, KornProblem, ProbeReport, RayleighResult,
                    face_mask, kernel_vector_diagnostics, min_rayleigh,
                    norm_property_probe, rigid_recover, seminorm,
                    sweep_roughness, sym_conjugation_sides)
-from .transport import (CoverageReport, CounterexampleReport,
-                        IntegrabilityReport, LineCoefficient, ResidualReport,
-                        Trajectory, counterexample_demo, flood_propagate,
-                        gronwall_bound, integrate_line, integrate_norm,
-                        propagate_cube, system_residual)
+from .transport import (CoverageReport, CounterexampleReport, LineCoefficient,
+                        ResidualReport, Trajectory, counterexample_demo,
+                        flood_propagate, gronwall_bound, integrate_line,
+                        integrate_norm, propagate_cube, system_residual)
 
 __version__ = "0.1.0"
 

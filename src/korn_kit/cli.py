@@ -83,12 +83,13 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
             raise ConfigError(f"unknown config key {key!r} for {experiment}", key=key)
         params[key] = value
 
-    run_seed = _int_at_least(0)(
-        "seed", document.get("seed", 0) if seed is None else seed)
-    run_tol = _optional(_positive)("tol", document.get("tol") if tol is None else tol)
-    # the document's out is checked even where the out keyword overrides it
+    # the document's seed, tol and out are checked even where a keyword overrides them
+    document_seed = _int_at_least(0)("seed", document.get("seed", 0))
+    document_tol = _optional(_positive)("tol", document.get("tol"))
     document_out = _path("out", document.get("out", "korn-kit-out"))
-    out_dir = Path(out if out is not None else document_out)
+    run_seed = document_seed if seed is None else _int_at_least(0)("seed", seed)
+    run_tol = document_tol if tol is None else _positive("tol", tol)
+    out_dir = Path(document_out if out is None else out)
 
     effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
                  "tol": run_tol, **params}
@@ -460,6 +461,14 @@ def _run_transport_counterexample(cfg: RunConfig, rng):
         "parts": (["quantity", "value", "threshold"], rows)}
 
 
+def _census(r: korn.RayleighResult) -> dict:
+    """The kernel census of one eigensolve, as korn eig and korn probe report it."""
+    return {"lambda_min": r.lambda_min, "kernel_dim": r.kernel_dim,
+            "kernel_threshold": r.kernel_threshold,
+            "census_complete": r.census_complete,
+            "eigenpair_residual": r.eigenpair_residual}
+
+
 def _run_korn_eig(cfg: RunConfig, rng):
     dense_cap, gram = cfg["dense_cap"], cfg["gram"]
     problem = _korn_problem(cfg)
@@ -479,11 +488,7 @@ def _run_korn_eig(cfg: RunConfig, rng):
 
     body = {"gamma": "none" if gamma is None else cfg.params["gamma"],
             "n_dofs": form.n_dofs,
-            "results": {g: {"lambda_min": r.lambda_min, "kernel_dim": r.kernel_dim,
-                            "kernel_threshold": r.kernel_threshold,
-                            "census_complete": r.census_complete,
-                            "eigenpair_residual": r.eigenpair_residual,
-                            "dense": r.dense}
+            "results": {g: {**_census(r), "dense": r.dense}
                         for g, r in results.items()}}
     rows = []
     for g, r in results.items():
@@ -503,11 +508,7 @@ def _run_korn_probe(cfg: RunConfig, rng):
         passed = not probe.kernel_found
     # the kernel field itself is bulky; the report keeps the numbers only
     body = {"gamma": "none" if gamma is None else cfg.params["gamma"],
-            "lambda_min": probe.lambda_min,
-            "kernel_threshold": probe.kernel_threshold,
-            "kernel_dim": probe.kernel_dim,
-            "census_complete": probe.census_complete,
-            "eigenpair_residual": probe.eigenpair_residual,
+            **_census(probe.rayleigh),
             "kernel_found": probe.kernel_found,
             "diagnosis": probe.diagnosis}
     if probe.diagnostics is not None:

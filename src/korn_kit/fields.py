@@ -216,10 +216,20 @@ def _central(values, spacing, axis, ndim=3):
     return out
 
 
-def _entry_gradients(values, spacing, diff):
-    # one whole-array difference per axis; row 3 * i + j holds entry (i, j)
-    grads = np.stack([diff(values, spacing, k) for k in range(3)], axis=-1)
-    return grads.reshape(grads.shape[:-3] + (9, 3))
+def _jacobian(values, spacing, diff, dim):
+    """Differences of every component along each of the dim leading grid axes.
+
+    Entry [..., k] is the difference along axis k.  One difference per axis
+    covers all components and goes into one output, so the peak holds the
+    output and one difference.
+    """
+    first = diff(values, spacing, 0)
+    out = np.empty(first.shape + (dim,))
+    out[..., 0] = first
+    del first
+    for k in range(1, dim):
+        out[..., k] = diff(values, spacing, k)
+    return out
 
 
 def _curl_rows(values, spacing, diff):
@@ -237,25 +247,7 @@ def fd_grad(f: VectorField) -> MatrixField:
     if f.components != grid.dim:
         raise DimensionMismatch(
             f"fd_grad needs {grid.dim} components on a {grid.dim}d grid, got {f.components}")
-    n = grid.dim
-    out = np.empty(grid.shape + (n, n))
-    for i in range(n):
-        for j in range(n):
-            out[..., i, j] = _gradient(f.values[..., i], grid.spacing, j)
-    return MatrixField(grid, out)
-
-
-def fd_entry_gradients(m: MatrixField) -> np.ndarray:
-    """Gradients of all nine entries of a 3d matrix field, vec-ordered.
-
-    Returns shape (*grid.shape, 9, 3): slot k holds the spatial gradient of
-    entry vec(M)[k], ready for the pointwise curl-of-product formula.
-    """
-    grid = m.grid
-    _require_stencil_room(grid)
-    if grid.dim != 3:
-        raise DimensionMismatch("entry gradients are defined for 3d matrix fields")
-    return _entry_gradients(m.values, grid.spacing, _gradient)
+    return MatrixField(grid, _jacobian(f.values, grid.spacing, _gradient, grid.dim))
 
 
 def fd_curl_rowwise(m: MatrixField) -> MatrixField:
@@ -400,7 +392,9 @@ def _part_gap(x, y, bounds, x_ends, y_ends) -> float:
     slab_max = []
     for xs, ys in zip(_halo_slabs(x, bounds, *x_ends), _halo_slabs(y, bounds, *y_ends)):
         lhs = _curl_rows(xs @ ys, h, _central)
-        rhs = algebra.curl_product_pointwise(_entry_gradients(xs, h, _central),
+        # row 3 * i + j of the entry gradients holds entry (i, j)
+        grad_x = _jacobian(xs, h, _central, 3)
+        rhs = algebra.curl_product_pointwise(grad_x.reshape(grad_x.shape[:-3] + (9, 3)),
                                              xs[inner], ys[inner],
                                              _curl_rows(ys, h, _central))
         slab_max.append(np.max(np.abs(lhs - rhs)))

@@ -479,44 +479,36 @@ def kernel_vector_diagnostics(problem: KornProblem, u: VectorField) -> KernelDia
 class ProbeReport:
     """Outcome of probing whether the seminorm is a norm at this resolution."""
 
-    lambda_min: float
-    kernel_threshold: float
-    kernel_dim: int
-    kernel_found: bool
-    gram: str
+    rayleigh: RayleighResult
     diagnostics: Optional[KernelDiagnostics]
     diagnosis: str
-    census_complete: bool
-    eigenpair_residual: float
+
+    @property
+    def kernel_found(self) -> bool:
+        return self.rayleigh.lambda_min < self.rayleigh.kernel_threshold
 
 
 def norm_property_probe(problem: KornProblem, gram: str = "l2", *,
                         dense_cap: int = DENSE_CAP) -> ProbeReport:
     """Eigen-probe the constrained form; dissect any kernel vector found."""
-    form = assemble_form(problem)
-    ray = min_rayleigh(form, gram, dense_cap=dense_cap)
-    kernel_found = ray.lambda_min < ray.kernel_threshold
-    if not kernel_found:
-        return ProbeReport(ray.lambda_min, ray.kernel_threshold, ray.kernel_dim,
-                           False, gram, None,
-                           "smallest Rayleigh quotient is positive: the seminorm "
-                           "is a norm on the constrained space at this resolution",
-                           ray.census_complete, ray.eigenpair_residual)
-    diag = kernel_vector_diagnostics(problem, ray.eigenvector)
-    if diag.boundary_condition_missing:
-        message = ("kernel displacement found; its axial vector solves the "
-                   "transport system but no boundary condition pins it down "
-                   "(no clamped patch), so uniqueness cannot engage")
-    elif diag.zeta_gamma_max is not None and diag.transport_residual.passed:
-        message = ("kernel displacement found although the transport chain is "
-                   "consistent; boundary trace of the axial vector is "
-                   f"{diag.zeta_gamma_max:.3e}")
-    else:
-        message = ("kernel displacement found; the transport identity fails at "
-                   "this resolution, pointing at discretization error")
-    return ProbeReport(ray.lambda_min, ray.kernel_threshold, ray.kernel_dim,
-                       True, gram, diag, message, ray.census_complete,
-                       ray.eigenpair_residual)
+    ray = min_rayleigh(assemble_form(problem), gram, dense_cap=dense_cap)
+    diag = None
+    message = ("smallest Rayleigh quotient is positive: the seminorm "
+               "is a norm on the constrained space at this resolution")
+    if ray.lambda_min < ray.kernel_threshold:  # the report's kernel_found
+        diag = kernel_vector_diagnostics(problem, ray.eigenvector)
+        if diag.boundary_condition_missing:
+            message = ("kernel displacement found; its axial vector solves the "
+                       "transport system but no boundary condition pins it down "
+                       "(no clamped patch), so uniqueness cannot engage")
+        elif diag.zeta_gamma_max is not None and diag.transport_residual.passed:
+            message = ("kernel displacement found although the transport chain is "
+                       "consistent; boundary trace of the axial vector is "
+                       f"{diag.zeta_gamma_max:.3e}")
+        else:
+            message = ("kernel displacement found; the transport identity fails at "
+                       "this resolution, pointing at discretization error")
+    return ProbeReport(ray, diag, message)
 
 
 @dataclass(frozen=True)

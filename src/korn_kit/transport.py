@@ -110,20 +110,12 @@ def integrate_norm(f: Callable[[float], float], a: float, b: float):
 
 
 @dataclass(frozen=True)
-class IntegrabilityReport:
-    """Numeric estimate of the integral of a coefficient norm."""
-
-    estimate: float
-    divergent: bool
-
-
-@dataclass(frozen=True)
 class LineCoefficient:
     """Matrix-valued coefficient t -> G(t) on an interval.
 
     The sampler must be finite on the open interval; blow-up at the
-    endpoints is allowed and is exactly what the integrability report is
-    for.  Norms are operator max-row-sum norms.
+    endpoints is allowed and is exactly what integrate_norm of norm_at
+    detects.  Norms are operator max-row-sum norms.
     """
 
     sampler: Callable[[float], np.ndarray]
@@ -150,10 +142,6 @@ class LineCoefficient:
 
     def norm_at(self, t: float) -> float:
         return operator_norm(self.sampler(t))
-
-    def integrability_report(self) -> IntegrabilityReport:
-        estimate, divergent = integrate_norm(self.norm_at, *self.interval)
-        return IntegrabilityReport(float(estimate), bool(divergent))
 
     @classmethod
     def constant(cls, matrix, interval):
@@ -673,28 +661,29 @@ def counterexample_demo(epsilon: float = 1e-3, steps: int = 1000) -> Counterexam
 
     # part two: 1/t is not L1 near zero
     full = LineCoefficient(lambda t: np.array([[1.0 / t]]), (0.0, 1.0), 1)
-    full_report = full.integrability_report()
+    full_estimate, full_divergent = integrate_norm(full.norm_at, *full.interval)
 
     # part three: the truncated coefficient is integrable and zero data stays zero
     truncated = LineCoefficient(
         lambda t: np.array([[1.0 / max(t, epsilon)]]), (0.0, 1.0), 1)
-    trunc_report = truncated.integrability_report()
+    trunc_estimate, trunc_divergent = integrate_norm(truncated.norm_at,
+                                                     *truncated.interval)
     trunc_traj = integrate_line(truncated, np.array([0.0]), steps)
     trunc_bound = gronwall_bound(truncated, 0.0)(1.0)
 
     passed = (residual_max <= IDENTITY_RESIDUAL_TOL
-              and full_report.divergent
-              and not trunc_report.divergent
+              and full_divergent
+              and not trunc_divergent
               and trunc_traj.max_norm() <= TRUNCATED_SOLUTION_TOL
               and trunc_bound == 0.0)
     return CounterexampleReport(
         epsilon=float(epsilon),
         identity_residual_max=residual_max,
         identity_reconstruction_error=reconstruction,
-        full_integral_estimate=full_report.estimate,
-        full_divergent=full_report.divergent,
-        truncated_integral_estimate=trunc_report.estimate,
-        truncated_divergent=trunc_report.divergent,
+        full_integral_estimate=float(full_estimate),
+        full_divergent=full_divergent,
+        truncated_integral_estimate=float(trunc_estimate),
+        truncated_divergent=trunc_divergent,
         truncated_solution_max=float(trunc_traj.max_norm()),
         truncated_bound_at_one=float(trunc_bound),
         passed=bool(passed),

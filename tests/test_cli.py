@@ -779,13 +779,19 @@ class TestParameterTables:
         (["algebra", "selftest"], {"out": 5}, "out"),
         (["algebra", "selftest"], {"out": ["a"]}, "out"),
         (["algebra", "selftest"], {"out": ""}, "out"),
+        (["transport", "counterexample", "--seed", "3", "--tol", "0.1"],
+         {"seed": "x", "tol": "abc"}, "seed"),
+        (["transport", "counterexample", "--seed", "3", "--tol", "0.1"],
+         {"tol": -1}, "tol"),
     ], ids=["propagate-float-steps", "counterexample-float-steps", "flood-float-arm",
             "selftest-negative-tol-skew", "propagate-string-steps",
             "propagate-string-scale", "flood-string-scale",
             "propagate-short-face-value", "propagate-zero-face-value",
             "counterexample-negative-epsilon", "counterexample-string-epsilon",
             "selftest-string-tol-det", "curl-string-min-order", "curl-string-tol",
-            "selftest-number-out", "selftest-list-out", "selftest-empty-out"])
+            "selftest-number-out", "selftest-list-out", "selftest-empty-out",
+            "counterexample-string-seed-under-flags",
+            "counterexample-negative-tol-under-flags"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, params, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(params))

@@ -11,12 +11,19 @@ from korn_kit.errors import DimensionMismatch, GridTooLarge, GridTooSmall
 from korn_kit.fields import (POINT_CAP, CoefficientTensorField, ConvergenceReport,
                              GridSpec, MatrixField, VectorField,
                              curl_product_discrepancy,
-                             fd_curl_rowwise, fd_entry_gradients, fd_grad,
+                             fd_curl_rowwise, fd_grad,
                              refinement_errors)
 
 
 def unit_grid(n, dim=3):
     return GridSpec((n,) * dim, (0.0,) * dim, 1.0 / (n - 1))
+
+
+def entry_gradients(m):
+    """fd_grad of each row of a 3d matrix field; row 3 * i + j holds the
+    gradient of entry (i, j)."""
+    rows = [fd_grad(VectorField(m.grid, m.values[..., i, :])).values for i in range(3)]
+    return np.stack(rows, axis=-3).reshape(m.grid.shape + (9, 3))
 
 
 class TestGridSpec:
@@ -105,6 +112,17 @@ class TestFieldValidation:
 
 
 class TestFdGrad:
+    @pytest.mark.parametrize("shape", [(7, 11), (5, 6, 7)], ids=["2d", "3d"])
+    def test_equals_componentwise_gradient_bit_for_bit(self, shape):
+        dim = len(shape)
+        g = GridSpec(shape, (0.3, -0.2, 0.1)[:dim], 0.17)
+        values = np.random.default_rng(8).uniform(-1, 1, shape + (dim,))
+        got = fd_grad(VectorField(g, values)).values
+        for i in range(dim):
+            expected = np.gradient(values[..., i], g.spacing, edge_order=2)
+            for j in range(dim):
+                assert np.array_equal(got[..., i, j], expected[j])
+
     def test_affine_exact(self):
         g = unit_grid(7)
         w = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 1.0], [2.0, 2.0, -1.0]])
@@ -228,7 +246,7 @@ class TestEntryGradients:
         g = unit_grid(6)
         case = analytic.random_polynomial_matrix(2, per_axis_degree=1)
         m = case.sample(g)
-        grads = fd_entry_gradients(m)
+        grads = entry_gradients(m)
         exact = case.entry_jacobian(g.points())
         assert np.max(np.abs(grads - exact)) <= 1e-12
 
@@ -263,7 +281,7 @@ def _single_pass_gap(x, y):
     inner = x.grid.interior()
     lhs = fd_curl_rowwise(MatrixField(x.grid, x.values @ y.values))
     rhs = algebra.curl_product_pointwise(
-        fd_entry_gradients(x)[inner], x.values[inner], y.values[inner],
+        entry_gradients(x)[inner], x.values[inner], y.values[inner],
         fd_curl_rowwise(y).values[inner])
     return float(np.max(np.abs(lhs.values[inner] - rhs)))
 
@@ -297,13 +315,7 @@ class TestVerifyCurlProduct:
         assert fields._SLAB_POINTS // (33 * 33) < 31
         x = analytic.random_trig_matrix(11, wavenumber=2.0).sample(g)
         y = analytic.random_trig_matrix(12, wavenumber=2.0).sample(g)
-        lhs = fd_curl_rowwise(MatrixField(g, x.values @ y.values))
-        inner = g.interior()
-        rhs = algebra.curl_product_pointwise(
-            fd_entry_gradients(x)[inner], x.values[inner], y.values[inner],
-            fd_curl_rowwise(y).values[inner])
-        single = float(np.max(np.abs(lhs.values[inner] - rhs)))
-        assert curl_product_discrepancy(x, y) == single
+        assert curl_product_discrepancy(x, y) == _single_pass_gap(x, y)
 
     def test_lazy_families_match_fields_and_single_pass(self):
         g = unit_grid(33)
@@ -640,7 +652,7 @@ class TestMakeAnalyticField:
         def err(grid):
             m = case.sample(grid)
             inner = grid.interior()
-            got = fd_entry_gradients(m)[inner]
+            got = entry_gradients(m)[inner]
             exact = case.entry_jacobian(grid.points())[inner]
             return np.max(np.abs(got - exact))
 

@@ -521,7 +521,7 @@ class TestProbe:
         g = unit_cell_grid()
         probe = norm_property_probe(KornProblem(g, identity_p(g), None))
         assert probe.kernel_found
-        assert probe.kernel_dim == 6
+        assert probe.rayleigh.kernel_dim == 6
         diag = probe.diagnostics
         assert diag.boundary_condition_missing
         assert diag.skewness_residual <= 1e-10

@@ -4,9 +4,11 @@
 
 Runs perfbench/run.py of this repository 3 times per workload (seed 901,
 8 seconds, trace off) and keeps the median wall_s, setup_s and peak_rss_mb
-over those runs, the attempted and failed counts, the exit codes, run.py's
-environment line, and whether the korn_kit bytecode was valid beforehand
-(without it every process compiles the sources: setup_s and peak_rss_mb rise).
+over those runs with each run's value beside it (under "runs", in run
+order, so a bimodal metric shows both modes), the attempted and failed
+counts, the exit codes, run.py's environment line, and whether the korn_kit
+bytecode was valid beforehand (without it every process compiles the
+sources: setup_s and peak_rss_mb rise).
 With --checkout, each run alternates with one of DIR, another checkout such
 as the parent commit, recorded as BENCH_<tag>_parent.json: the box's speed
 drifts over minutes, and alternating gives both points the same drift.
@@ -50,7 +52,7 @@ def summary(runs) -> dict:
     values = {m: [r["metrics"][m]["value"] for r in lasts if m in r.get("metrics", {})]
               for m in ("wall_s", "setup_s", "peak_rss_mb")}
     entry = {m: statistics.median(v) if v else None for m, v in values.items()}
-    entry.update(attempted=sum(r.get("attempted", 0) for r in lasts),
+    entry.update(runs=values, attempted=sum(r.get("attempted", 0) for r in lasts),
                  failed=sum(r.get("failed", 0) for r in lasts),
                  exit_codes=list(codes), environment=next(filter(None, envs), None))
     return entry

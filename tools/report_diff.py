@@ -2,13 +2,16 @@
 
     python3 tools/report_diff.py DIR
 
-Runs every experiment at its default config (seed 0), korn gp and korn eig
-with a rotation-valued P, and every benchmark workload (seed 901) once with
-this checkout's src/ and once with DIR's, one process per run, with
-OPENBLAS_NUM_THREADS=1.  The rotation-valued config and the workload inputs
-(by perfbench/workloads.py) are written once and both sides read them, so
-their config_sha256 agree.  With the workloads' graded-roughness and
-trigonometric fields, the runs sample every analytic family a CLI run uses.
+Runs every experiment at its default config (seed 0), the configs in
+CONFIGS, and every benchmark workload (seed 901) once with this checkout's
+src/ and once with DIR's, one process per run, with OPENBLAS_NUM_THREADS=1.
+CONFIGS runs korn gp and korn eig with a rotation-valued P, korn eig on both
+Gram matrices, and a free korn probe with the H1 Gram at 1029 DOFs, above
+the dense cap, whose kernel vector goes through the kernel diagnostics.
+Those configs and the workload inputs (by perfbench/workloads.py) are
+written once and both sides read them, so their config_sha256 agree.  With
+the workloads' graded-roughness and trigonometric fields, the runs sample
+every analytic family a CLI run uses.
 Prints each output file that differs or exists on one side only, and each
 run whose exit code differs between the sides or is neither 0 nor 1; exits 1
 if it printed anything.
@@ -26,8 +29,17 @@ from korn_kit.cli import _EXPERIMENTS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD_SEED = 901
-# the default configs sample P of the identity family only
 ROTATION = {"p_family": {"name": "rotation-valued", "amp": 0.2, "freq": [1.0, 0.5, 0.0]}}
+# job -> (experiment, config); the default configs sample P of the identity
+# family only, and solve with one Gram matrix, below the dense cap
+CONFIGS = {
+    "korn-gp-rotation": ("korn-gp", ROTATION),
+    "korn-eig-rotation": ("korn-eig", ROTATION),
+    "korn-eig-both": ("korn-eig", {"gram": "both"}),
+    "korn-probe-sparse": ("korn-probe", {
+        "gamma": "none", "gram": "h1", "shape": [7, 7, 7], "spacing": 1 / 7,
+        "p_family": {"name": "graded-roughness", "seed": 1, "frequency": 2.0}}),
+}
 # argv: src directory, experiment, config path ("" for the defaults), output directory
 RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from korn_kit import cli; "
        "sys.exit(cli.run(cli.load_config(sys.argv[2], sys.argv[3] or None, "
@@ -56,10 +68,10 @@ def main() -> int:
         tmp = Path(tmp)
         jobs = {name: (name, "") for name in _EXPERIMENTS}
         (tmp / "inputs").mkdir()
-        rotation = tmp / "inputs" / "rotation.json"
-        rotation.write_text(json.dumps(ROTATION))
-        for name in ("korn-gp", "korn-eig"):
-            jobs[f"{name}-rotation"] = (name, str(rotation))
+        for job, (experiment, config) in CONFIGS.items():
+            path = tmp / "inputs" / f"{job}.json"
+            path.write_text(json.dumps(config))
+            jobs[job] = (experiment, str(path))
         for name, workload in WORKLOADS.items():
             work = tmp / "inputs" / name
             work.mkdir(parents=True)
