@@ -154,6 +154,9 @@ class RotationMatrixField(AnalyticField):
 
     def _k(self):
         axis = np.asarray(self.axis, dtype=float)
+        # scaled to a largest entry of 1 first, so the norm neither overflows
+        # nor underflows; an axis whose largest entry is 1 keeps its bits
+        axis = axis / np.max(np.abs(axis))
         k = algebra.smat(axis / np.linalg.norm(axis))
         return k, k @ k
 

@@ -12,6 +12,9 @@ error (with a machine-readable error JSON on stdout).
     korn-kit transport counterexample
     korn-kit korn eig|probe|rigid|gp
     korn-kit algebra selftest
+
+--seed, --tol and --out override the document's seed, tol and out and are
+checked like them; the document's values are checked as well.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
 from .korn import _is_real
 
 SCHEMA = "korn-kit/1"
-RESERVED_KEYS = {"schema", "seed", "tol", "out"}
 # experiments that assemble a Korn form and eigensolve it: the only ones that
 # need scipy, which the package imports nowhere at module level
 EIGENSOLVE_EXPERIMENTS = {"korn-eig", "korn-probe"}
@@ -77,22 +79,21 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
     table = _EXPERIMENTS[experiment][0]
     params = {key: default for key, (default, _) in table.items()}
     for key, value in document.items():
-        if key in RESERVED_KEYS:
+        if key == "schema" or key in _RUN_KEYS:
             continue
         if key not in table:
             raise ConfigError(f"unknown config key {key!r} for {experiment}", key=key)
         params[key] = value
 
-    # the document's seed, tol and out are checked even where a keyword overrides them
-    document_seed = _int_at_least(0)("seed", document.get("seed", 0))
-    document_tol = _optional(_positive)("tol", document.get("tol"))
-    document_out = _path("out", document.get("out", "korn-kit-out"))
-    run_seed = document_seed if seed is None else _int_at_least(0)("seed", seed)
-    run_tol = document_tol if tol is None else _positive("tol", tol)
-    out_dir = Path(document_out if out is None else out)
+    run_keys = {"seed": seed, "tol": tol, "out": out}  # None where no keyword is given
+    for key, (default, kind) in _RUN_KEYS.items():
+        # the document's value is checked even where a keyword overrides it
+        value = kind(key, document.get(key, default))
+        run_keys[key] = value if run_keys[key] is None else kind(key, run_keys[key])
+    seed, tol, out = run_keys.values()
 
-    effective = {"experiment": experiment, "schema": SCHEMA, "seed": run_seed,
-                 "tol": run_tol, **params}
+    effective = {"experiment": experiment, "schema": SCHEMA, "seed": seed, "tol": tol,
+                 **params}
     # every *_file key names an input; it enters the hash by its bytes, so the
     # same inputs at two paths hash alike and a file rewritten in place does not
     for key, path in params.items():
@@ -105,7 +106,7 @@ def load_config(experiment: str, config_path, *, seed=None, tol=None,
         import scipy.sparse.csgraph  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
 
-    return RunConfig(experiment, run_seed, run_tol, out_dir, params,
+    return RunConfig(experiment, seed, tol, Path(out), params,
                      reporting.config_hash(reporting.to_jsonable(effective)))
 
 
@@ -176,6 +177,10 @@ _p_family = _kind("an object with a name and the family's keywords",
                   lambda v: (v.get("name", "identity"),
                              {k: n for k, n in v.items() if k != "name"}))
 _clamped_face = _face(axis=0, side=0)
+# the keys of every run, key -> (default, kind); the keyword of load_config
+# (the CLI flag) of the same name overrides the document's value
+_RUN_KEYS = {"seed": (0, _int_at_least(0)), "tol": (None, _optional(_positive)),
+             "out": ("korn-kit-out", _path)}
 
 
 def _gamma(key, value):
@@ -213,9 +218,8 @@ def _require_stencil(grid: GridSpec, key) -> None:
                           f"{grid.shape}", key=key)
 
 
-def _face_on(cfg: RunConfig, key, grid):
-    """The face that cfg[key] names, whose axis must be one of the grid's."""
-    face = cfg[key]
+def _face_on(key, face, grid):
+    """face, the value of key, whose axis must be one of the grid's."""
     if face is not None and face[0] >= grid.dim:
         raise ConfigError(f"{key} needs an axis in 0..{grid.dim - 1}, got {face[0]}",
                           key=key)
@@ -267,10 +271,15 @@ def _p_field(cfg: RunConfig):
 
 
 def _korn_problem(cfg: RunConfig):
+    """(problem, gram, dense_cap, gamma) of korn eig and korn probe, gamma being
+    the value the report gives; every key is read before an array is built."""
+    gram, dense_cap, face = cfg["gram"], cfg["dense_cap"], cfg["gamma"]
+    min_det = cfg["min_det"]
     p_field, grid, _ = _p_field(cfg)
-    face = _face_on(cfg, "gamma", grid)
-    gamma = None if face is None else korn.face_mask(grid, *face)
-    return korn.KornProblem(grid, p_field, gamma, min_det=cfg["min_det"])
+    face = _face_on("gamma", face, grid)
+    mask = None if face is None else korn.face_mask(grid, *face)
+    return (korn.KornProblem(grid, p_field, mask, min_det=min_det), gram, dense_cap,
+            "none" if face is None else cfg.params["gamma"])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +344,13 @@ def _exponential_case(grid):
     return CoefficientTensorField.constant(grid, tensor)
 
 
+def _random_coefficient(cfg: RunConfig, grid, rng):
+    """G of transport propagate's zero case and of transport flood: independent
+    uniform entries in [-coefficient_scale, coefficient_scale]."""
+    return CoefficientTensorField(
+        grid, cfg["coefficient_scale"] * rng.uniform(-1.0, 1.0, grid.shape + (grid.dim,) * 3))
+
+
 def _run_transport_propagate(cfg: RunConfig, rng):
     case, steps = cfg["case"], cfg["steps"]
 
@@ -355,17 +371,13 @@ def _run_transport_propagate(cfg: RunConfig, rng):
                 raise ConfigError(f"face_value must be {grid.dim} numbers, not all "
                                   f"zero, got {cfg.params['face_value']!r}",
                                   key="face_value")
-            face = VectorField(grid.face(-1),
-                               np.broadcast_to(value, grid.face(-1).shape
-                                               + (grid.dim,)).copy())
+            face = VectorField.constant(grid.face(-1), value)
             pts = grid.points()
             exact = np.exp(pts[..., -1] - grid.origin[-1])[..., None] * value
             residual_tol = cfg.tol or \
                 10.0 * grid.spacing ** 2 * float(np.max(np.abs(exact)))
         else:
-            scale = cfg["coefficient_scale"]
-            vals = scale * rng.uniform(-1.0, 1.0, grid.shape + (grid.dim,) * 3)
-            coef = CoefficientTensorField(grid, vals)
+            coef = _random_coefficient(cfg, grid, rng)
             face = VectorField.zeros(grid.face(-1), grid.dim)
             exact = np.zeros(grid.shape + (grid.dim,))
             residual_tol = cfg.tol or 1e-10
@@ -409,29 +421,19 @@ def _run_transport_flood(cfg: RunConfig, rng):
             domain = np.zeros(grid.shape, dtype=bool)
             domain[:, :arm] = True
             domain[:arm] = True
-    shape = grid.shape
 
-    axis, side, thickness = _face_on(cfg, "seed_region", grid)
-    if not 1 <= thickness <= shape[axis]:
+    axis, side, thickness = _face_on("seed_region", cfg["seed_region"], grid)
+    if not 1 <= thickness <= grid.shape[axis]:
         raise ConfigError(f"seed_region thickness must be an integer in "
-                          f"1..{shape[axis]}, got {thickness!r}", key="seed_region")
-    seed_mask = np.zeros(shape, dtype=bool)
-    sl = [slice(None)] * grid.dim
-    sl[axis] = slice(0, thickness) if side == 0 else slice(-thickness, None)
-    seed_mask[tuple(sl)] = True
-    seed_mask &= domain
+                          f"1..{grid.shape[axis]}, got {thickness!r}", key="seed_region")
+    seed_mask = korn.face_mask(grid, axis, side, thickness) & domain
 
     zeta = None
     if cfg["zeta_file"] is not None:
         zeta = _input_field(cfg, "zeta_file", VectorField, grid=grid,
                             components=grid.dim)
 
-    scale = cfg["coefficient_scale"]
-    if scale == 0.0:
-        coef = CoefficientTensorField.zeros(grid)
-    else:
-        vals = scale * rng.uniform(-1.0, 1.0, shape + (grid.dim,) * 3)
-        coef = CoefficientTensorField(grid, vals)
+    coef = _random_coefficient(cfg, grid, rng)
     if zeta is None:
         # made after the coefficient, so it can reuse the memory of the
         # coefficient's freed temporaries; made first, it raised peak RSS
@@ -470,24 +472,21 @@ def _census(r: korn.RayleighResult) -> dict:
 
 
 def _run_korn_eig(cfg: RunConfig, rng):
-    dense_cap, gram = cfg["dense_cap"], cfg["gram"]
-    problem = _korn_problem(cfg)
-    gamma = problem.gamma_mask
     # only a free problem reads the expected kernel dimension
-    expected = cfg["expect_kernel_dim"] if gamma is None else None
+    expected = cfg["expect_kernel_dim"] if cfg["gamma"] is None else None
+    problem, gram, dense_cap, gamma = _korn_problem(cfg)
     form = korn.assemble_form(problem)
     grams = ["l2", "h1"] if gram == "both" else [gram]
     results = {g: korn.min_rayleigh(form, g, dense_cap=dense_cap) for g in grams}
 
-    if gamma is None:
+    if problem.gamma_mask is None:
         passed = all(r.kernel_dim == expected for r in results.values())
     else:
         passed = all(r.lambda_min > r.kernel_threshold for r in results.values())
     # a kernel census that may have missed kernel pairs proves nothing
     passed = passed and all(r.census_complete for r in results.values())
 
-    body = {"gamma": "none" if gamma is None else cfg.params["gamma"],
-            "n_dofs": form.n_dofs,
+    body = {"gamma": gamma, "n_dofs": form.n_dofs,
             "results": {g: {**_census(r), "dense": r.dense}
                         for g, r in results.items()}}
     rows = []
@@ -498,17 +497,14 @@ def _run_korn_eig(cfg: RunConfig, rng):
 
 
 def _run_korn_probe(cfg: RunConfig, rng):
-    dense_cap, gram = cfg["dense_cap"], cfg["gram"]
-    problem = _korn_problem(cfg)
-    gamma = problem.gamma_mask
+    problem, gram, dense_cap, gamma = _korn_problem(cfg)
     probe = korn.norm_property_probe(problem, gram, dense_cap=dense_cap)
-    if gamma is None:
+    if problem.gamma_mask is None:
         passed = probe.kernel_found and probe.diagnostics.boundary_condition_missing
     else:
         passed = not probe.kernel_found
     # the kernel field itself is bulky; the report keeps the numbers only
-    body = {"gamma": "none" if gamma is None else cfg.params["gamma"],
-            **_census(probe.rayleigh),
+    body = {"gamma": gamma, **_census(probe.rayleigh),
             "kernel_found": probe.kernel_found,
             "diagnosis": probe.diagnosis}
     if probe.diagnostics is not None:
@@ -695,7 +691,7 @@ def main(argv=None) -> int:
     except KornKitError as exc:
         print(_error_json(exc))
         return 2
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         # malformed parameter values surface as config errors, not tracebacks
         print(_error_json(ConfigError(f"invalid config value: {exc}")))
         return 2

@@ -55,15 +55,18 @@ def boundary_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def face_mask(grid: GridSpec, axis: int = 0, side: int = 0) -> np.ndarray:
-    """Boolean mask of one full boundary face: side 0 is index 0, side 1 the last."""
-    if not 0 <= axis < grid.dim or side not in (0, 1):
+def face_mask(grid: GridSpec, axis: int = 0, side: int = 0,
+              thickness: int = 1) -> np.ndarray:
+    """Boolean mask of the thickness layers of grid points at one boundary face:
+    side 0 is the face at index 0, side 1 the one at the last index."""
+    if not (0 <= axis < grid.dim and side in (0, 1) and 1 <= thickness <= grid.shape[axis]):
         raise DimensionMismatch(f"a face of a {grid.dim}-d grid needs axis in "
-                                f"0..{grid.dim - 1} and side 0 or 1, got "
-                                f"axis {axis}, side {side}")
+                                f"0..{grid.dim - 1} and side 0 or 1, and a thickness "
+                                f"up to the points along the axis, got axis {axis}, "
+                                f"side {side}, thickness {thickness}")
     mask = np.zeros(grid.shape, dtype=bool)
     idx = [slice(None)] * grid.dim
-    idx[axis] = 0 if side == 0 else -1
+    idx[axis] = slice(0, thickness) if side == 0 else slice(-thickness, None)
     mask[tuple(idx)] = True
     return mask
 

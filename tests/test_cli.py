@@ -338,6 +338,29 @@ class TestExitCodes:
         assert (err["type"], err["key"]) == ("ConfigError", "shape")
         assert "shape must have 3 axes" in err["message"]
 
+    @pytest.mark.parametrize("command, params", [
+        (["korn", "eig"], {"spacing": 1e300}),
+        (["korn", "probe"], {"spacing": 1e110}),
+        (["transport", "propagate"], {"shape": [5, 5, 5], "spacing": 1e200}),
+    ], ids=["eig", "probe", "propagate"])
+    def test_overflowing_spacing_is_exit_2(self, tmp_path, capsys, command, params):
+        # h ** 3 of the Korn form and h ** 2 of the propagate tolerance overflow
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        with np.errstate(over="ignore"):
+            code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+        assert err["type"] == "ConfigError"
+
+    def test_out_flag_is_checked_like_the_document_out(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["algebra", "selftest", "--out", ""]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", "out")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReports:
     def test_reports_embed_hash_seed_tolerance(self, tmp_path):
@@ -563,6 +586,16 @@ class TestTransportCommands:
         assert inner["full_divergent"] is True
         assert inner["identity_residual_max"] <= 1e-12
         assert inner["truncated_solution_max"] <= 1e-10
+
+    def test_counterexample_with_a_tiny_epsilon_writes_a_report(self, tmp_path):
+        # the truncated integral is 1 + ln(1e11), about 26.3: finite, though
+        # the adaptive quadrature may call it divergent
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-11}))
+        assert run_cli(["transport", "counterexample", "--config", str(cfg),
+                        "--out", str(tmp_path)]) in (0, 1)
+        report = read_report(tmp_path, "transport_counterexample.json")
+        assert report["report"]["epsilon"] == 1e-11
 
 
 class TestKornCommands:

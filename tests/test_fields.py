@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,21 @@ class TestMakeAnalyticField:
         assert np.max(np.abs(dets - 1.0)) <= 1e-14
         gram = np.swapaxes(values, -1, -2) @ values
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-13
+
+    @pytest.mark.parametrize("axis, unit", [([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+                                            ([0.0, 0.0, 1e-300], [0.0, 0.0, 1.0])],
+                             ids=["huge", "tiny"])
+    def test_rotation_axis_of_any_scale(self, axis, unit):
+        # the norm of the axis must neither overflow nor underflow
+        keywords = dict(base=0.3, lin=(0.7, 0.2, -0.4), amp=0.2, freq=(1.0, 0.5, 0.0))
+        points = unit_grid(4).points()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            case = analytic.RotationMatrixField(axis=axis, **keywords)
+            value, jacobian = case.value(points), case.jacobian(points)
+        oracle = analytic.RotationMatrixField(axis=unit, **keywords)
+        assert np.max(np.abs(value - oracle.value(points))) <= 1e-15
+        assert np.max(np.abs(jacobian - oracle.jacobian(points))) <= 1e-15
 
     def test_rotation_matches_rodrigues_oracle(self):
         axis = np.array([1.0, 2.0, 2.0]) / 3.0

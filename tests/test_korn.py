@@ -105,6 +105,20 @@ class TestKornProblem:
         with pytest.raises(DimensionMismatch, match="axis in 0..2 and side 0 or 1"):
             face_mask(unit_cell_grid(), axis, side)
 
+    @pytest.mark.parametrize("side, layers", [(0, slice(0, 2)), (1, slice(-2, None))])
+    def test_face_mask_takes_thickness_layers(self, side, layers):
+        g = GridSpec((4, 5, 6), (0.0,) * 3, 0.25)
+        expected = np.zeros(g.shape, dtype=bool)
+        expected[:, layers] = True
+        assert np.array_equal(face_mask(g, 1, side, thickness=2), expected)
+        assert np.array_equal(face_mask(g, 1, side), face_mask(g, 1, side, thickness=1))
+
+    @pytest.mark.parametrize("thickness", [0, -1, 6])
+    def test_face_mask_rejects_thickness_out_of_range(self, thickness):
+        g = GridSpec((4, 5, 6), (0.0,) * 3, 0.25)
+        with pytest.raises(DimensionMismatch, match="got axis 1, side 1, thickness"):
+            face_mask(g, 1, 1, thickness)
+
 
 class TestAssembleForm:
     def test_zero_displacement(self):

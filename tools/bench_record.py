@@ -2,11 +2,13 @@
 
     python3 tools/bench_record.py TAG [--checkout DIR]
 
-Runs perfbench/run.py of this repository 3 times per workload (seed 901,
+Runs perfbench/run.py of this repository 5 times per workload (seed 901,
 8 seconds, trace off) and keeps the median wall_s, setup_s and peak_rss_mb
-over those runs with each run's value beside it (under "runs", in run
-order, so a bimodal metric shows both modes), the attempted and failed
-counts, the exit codes, run.py's environment line, and whether the korn_kit
+over those runs, their lower and upper quartiles beside each median (under
+"<metric>_quartiles", so a change can be set against one side's own
+spread), and each run's value (under "runs", in run order, so a bimodal
+metric shows both modes), the attempted and failed counts, the exit
+codes, run.py's environment line, and whether the korn_kit
 bytecode was valid beforehand (without it every process compiles the
 sources: setup_s and peak_rss_mb rise).
 With --checkout, each run alternates with one of DIR, another checkout such
@@ -22,7 +24,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-SEED, SECONDS, REPEAT = 901, 8, 3
+SEED, SECONDS, REPEAT = 901, 8, 5
 
 
 def bytecode_valid(checkout: Path) -> bool:
@@ -51,7 +53,12 @@ def summary(runs) -> dict:
     codes, lasts, envs = zip(*runs)
     values = {m: [r["metrics"][m]["value"] for r in lasts if m in r.get("metrics", {})]
               for m in ("wall_s", "setup_s", "peak_rss_mb")}
-    entry = {m: statistics.median(v) if v else None for m, v in values.items()}
+    entry = {}
+    for m, v in values.items():
+        entry[m] = statistics.median(v) if v else None
+        # inclusive: with REPEAT = 5 runs, the 2nd and 4th smallest values
+        entry[f"{m}_quartiles"] = (statistics.quantiles(v, n=4, method="inclusive")[::2]
+                                   if len(v) > 1 else None)
     entry.update(runs=values, attempted=sum(r.get("attempted", 0) for r in lasts),
                  failed=sum(r.get("failed", 0) for r in lasts),
                  exit_codes=list(codes), environment=next(filter(None, envs), None))
