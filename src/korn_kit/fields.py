@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -66,6 +67,13 @@ class GridSpec:
             raise ValueError(f"grid origin must be finite, got {origin}")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
+        # the cell measure h**dim weighs every quadrature; by multiplication,
+        # since a float power raises OverflowError where a product gives inf
+        cell = math.prod((self.spacing,) * len(shape))
+        if not sys.float_info.min <= cell <= sys.float_info.max:
+            raise ValueError(f"grid spacing {self.spacing} gives a cell measure "
+                             f"spacing**{len(shape)} = {cell} outside the normal "
+                             f"float range")
         if self.num_points > POINT_CAP:
             raise GridTooLarge(f"grid has {self.num_points} points, cap is {POINT_CAP}")
 

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -342,16 +343,87 @@ class TestExitCodes:
         (["korn", "eig"], {"spacing": 1e300}),
         (["korn", "probe"], {"spacing": 1e110}),
         (["transport", "propagate"], {"shape": [5, 5, 5], "spacing": 1e200}),
-    ], ids=["eig", "probe", "propagate"])
+        (["korn", "probe"], {"spacing": 1e-300}),
+        (["korn", "gp"], {"spacing": 1e-300}),
+        (["korn", "rigid"], {"spacing": 1e-300}),
+        (["transport", "flood"], {"spacing": 1e-200}),
+    ], ids=["eig", "probe", "propagate", "probe-underflow", "gp-underflow",
+            "rigid-underflow", "flood-underflow"])
     def test_overflowing_spacing_is_exit_2(self, tmp_path, capsys, command, params):
-        # h ** 3 of the Korn form and h ** 2 of the propagate tolerance overflow
+        # the cell measure h ** 3 leaves the normal float range
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(params))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
-        assert err["type"] == "ConfigError"
+        assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
+
+    @pytest.mark.parametrize("command, key, spacing", [
+        (["transport", "flood"], "mask_file", "1e-200"),
+        (["korn", "gp"], "p_file", "1e300"),
+    ], ids=["flood-mask-underflow", "gp-p-overflow"])
+    def test_field_file_spacing_out_of_range_names_its_key(self, tmp_path, capsys,
+                                                           command, key, spacing):
+        grid = GridSpec((5, 5, 5), (0.0,) * 3, 0.25)
+        fld = (VectorField(grid, np.ones(grid.shape + (1,))) if key == "mask_file"
+               else MatrixField.constant(grid, np.eye(3)))
+        path = tmp_path / "field.kfk"
+        fieldio.save_field(path, fld)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header.rsplit(b" ", 1)[0] + b" " + spacing.encode() + b"\n"
+                         + payload)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(path)}))
+        assert run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", key)
+
+    @pytest.mark.parametrize("command, params, key", [
+        (["korn", "eig"], {"min_det": 1e300}, "min_det"),
+        (["korn", "probe"], {"min_det": 1e300}, "min_det"),
+        (["korn", "gp"], {"min_det": 1e300}, "min_det"),
+        (["korn", "rigid"], {"min_det": 1e300}, "min_det"),
+        (["korn", "eig"], {"p_family": {"name": "graded-roughness", "amplitude": 1.5}},
+         "p_family"),
+    ], ids=["eig", "probe", "gp", "rigid", "graded-roughness-floor"])
+    def test_determinant_floor_names_its_key(self, tmp_path, capsys, command, params,
+                                             key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", key)
+        assert "floor is" in err["message"]
+
+    @pytest.mark.parametrize("spacing", [0.5, 150.0], ids=["half", "150"])
+    def test_coarse_exponential_without_tol_names_spacing(self, tmp_path, capsys,
+                                                          spacing):
+        # 10 h^2 >= 1: the default tolerance would pass zeta = 0 as well
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [5, 5, 5], "spacing": spacing}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["transport", "propagate", "--config", str(cfg),
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
+
+    @pytest.mark.parametrize("tol, code", [(1e-6, 1), (1.0, 0)], ids=["tight", "loose"])
+    def test_coarse_exponential_with_tol_runs(self, tmp_path, tol, code):
+        # the residual at h = 0.5 is about 0.19 and zeta_max is e^2, so a tol
+        # of 1.0 passes the computed zeta and would fail zeta = 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [5, 5, 5], "spacing": 0.5, "tol": tol}))
+        assert run_cli(["transport", "propagate", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == code
+        report = read_report(tmp_path, "transport_propagate.json")
+        assert report["residual"]["tolerance"] == tol
 
     def test_out_flag_is_checked_like_the_document_out(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -671,6 +743,20 @@ class TestKornCommands:
         assert report["gp_max"] == 0.0
         tensor = fieldio.load_field(tmp_path / "gp_field.kfk")
         assert isinstance(tensor, CoefficientTensorField)
+
+    @pytest.mark.parametrize("command, spacing", [
+        (["korn", "gp"], 1e-5), (["korn", "gp"], 3e-7), (["korn", "rigid"], 1e-7),
+    ], ids=["gp-1e-5", "gp-3e-7", "rigid-1e-7"])
+    def test_exact_data_verdicts_hold_at_small_spacings(self, tmp_path, command,
+                                                        spacing):
+        # one-sided edge weights leave about eps max|data| / h on exact data
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spacing": spacing}))
+        assert run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_gp_default_keeps_its_identity_tolerance(self, tmp_path):
+        assert run_cli(["korn", "gp", "--out", str(tmp_path)]) == 0
+        assert read_report(tmp_path, "korn_gp.json")["identity_check_tolerance"] == 1e-12
 
     def test_gp_creates_nested_out_dir(self, tmp_path):
         out = tmp_path / "new" / "dir"

@@ -1,6 +1,7 @@
 """Grid fields, finite differences, and the field-level product identity."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -18,6 +19,28 @@ from korn_kit.fields import (POINT_CAP, CoefficientTensorField, ConvergenceRepor
 
 def unit_grid(n, dim=3):
     return GridSpec((n,) * dim, (0.0,) * dim, 1.0 / (n - 1))
+
+
+def spacing_limits(dim):
+    """The smallest and the largest spacing that a dim-D grid accepts."""
+    def accepted(h):
+        try:
+            GridSpec((3,) * dim, (0.0,) * dim, h)
+        except ValueError:
+            return False
+        return True
+
+    limits = []
+    for bound in (sys.float_info.min, sys.float_info.max):
+        root = bound ** (1.0 / dim)
+        inside, outside = (2.0 * root, 0.5 * root) if bound < 1.0 else (0.5 * root,
+                                                                         2.0 * root)
+        # bisect down to an accepted spacing next to a refused one
+        while math.nextafter(inside, outside) != outside:
+            mid = 0.5 * (inside + outside)
+            inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
+        limits.append(inside)
+    return limits
 
 
 def entry_gradients(m):
@@ -78,6 +101,21 @@ class TestGridSpec:
         # 2**64 points: an int64 product wraps to 0 and would pass the cap
         with pytest.raises(GridTooLarge):
             GridSpec((2 ** 32, 2 ** 32, 1), (0.0,) * 3, 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_spacing_range_keeps_the_cell_measure_normal(self, dim):
+        low, high = spacing_limits(dim)
+        cell = lambda h: math.prod((h,) * dim)  # noqa: E731
+        assert cell(math.nextafter(low, 0.0)) < sys.float_info.min <= cell(low)
+        assert cell(high) <= sys.float_info.max < cell(math.nextafter(high, math.inf))
+        assert low == pytest.approx(sys.float_info.min ** (1.0 / dim), rel=1e-12)
+        assert high == pytest.approx(sys.float_info.max ** (1.0 / dim), rel=1e-12)
+
+    @pytest.mark.parametrize("spacing", [1e-300, 1e300, 1e-103, 1e103],
+                             ids=["tiny", "huge", "cube-underflow", "cube-overflow"])
+    def test_spacing_outside_the_range_is_refused(self, spacing):
+        with pytest.raises(ValueError, match="cell measure"):
+            GridSpec((3, 3, 3), (0.0,) * 3, spacing)
 
     def test_face_grid(self):
         g = unit_grid(5)
@@ -141,6 +179,19 @@ class TestFdGrad:
         inner = g.interior()
         expected = 2.0 * pts[..., 0]
         assert np.max(np.abs(grad.values[inner][..., 0, 0] - expected[inner])) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_quadratic_exact_at_the_spacing_limits(self, dim):
+        # data scaled with the grid, so edge round-off stays relative
+        b = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 1.0], [2.0, 2.0, -1.0]])[:dim, :dim]
+        for h in spacing_limits(dim):
+            g = GridSpec((5,) * dim, (0.0,) * dim, h)
+            x = g.points()
+            length = 4.0 * h
+            f = np.einsum("ij,...j->...i", b, x) + x * (x / length)
+            exact = b + 2.0 * (x / length)[..., None] * np.eye(dim)
+            grad = fd_grad(VectorField(g, f)).values
+            assert np.max(np.abs(grad - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_trig_second_order(self):
         case = analytic.random_trig_vector(0, wavenumber=2.0)
