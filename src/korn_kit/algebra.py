@@ -30,8 +30,8 @@ from .errors import DeterminantTooSmall
 DEFAULT_MIN_DET = 1e-12
 
 # vec indices of the diagonal, strictly-upper and strictly-lower entries,
-# with signs, as read by the three extraction maps and their hat maps; each
-# sign is a row so that it scales a whole gathered gradient row.
+# with signs, as read by the three extraction maps and, on grad27, by the
+# curl of a product; each sign is a row so that it scales a whole gathered row.
 _DVEC_IDX = (0, 4, 8)
 _DVEC_SIGN = np.array([[1.0], [1.0], [1.0]])
 _SKEWVEC_IDX = (5, 2, 1)
@@ -138,25 +138,26 @@ class SkewMat3:
         return smat(self.axial)
 
 
-def _extract(m, idx, sign):
-    # the entries that the matching hat map differentiates, with its signs
-    m = _as_float_array(m, (3, 3), "m")
-    return np.take(m.reshape(m.shape[:-2] + (9,)), idx, axis=-1) * sign[:, 0]
+def _gather(rows, idx, sign):
+    # rows idx of a (..., 9, k) array in one take, each scaled (exactly) by its sign
+    out = np.take(rows, idx, axis=-2)
+    out *= sign
+    return out
 
 
 def dvec(m):
     """Diagonal entries of a 3x3 matrix as a 3-vector."""
-    return _extract(m, _DVEC_IDX, _DVEC_SIGN)
+    return _gather(vec_of_mat(m)[..., None], _DVEC_IDX, _DVEC_SIGN)[..., 0]
 
 
 def skewvec(m):
     """Strictly-upper entry data (-m23, m13, -m12); equals axl on so(3)."""
-    return _extract(m, _SKEWVEC_IDX, _SKEWVEC_SIGN)
+    return _gather(vec_of_mat(m)[..., None], _SKEWVEC_IDX, _SKEWVEC_SIGN)[..., 0]
 
 
 def symvec(m):
     """Strictly-lower entry data (m32, -m31, m21); equals axl on so(3)."""
-    return _extract(m, _SYMVEC_IDX, _SYMVEC_SIGN)
+    return _gather(vec_of_mat(m)[..., None], _SYMVEC_IDX, _SYMVEC_SIGN)[..., 0]
 
 
 def apply_l_inverse(y, h, det_y) -> np.ndarray:
@@ -179,31 +180,6 @@ def curl_row(d) -> np.ndarray:
     """Curl (..., 3) of row l of a matrix field from d[c][j] = d_j M_lc."""
     return np.stack([d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]],
                     axis=-1)
-
-
-def _hat_select(grad27, idx, sign):
-    # one gather of the three gradient rows; scaling by +-1 is exact
-    rows = np.take(grad27, idx, axis=-2)
-    rows *= sign
-    return rows.reshape(rows.shape[:-2] + (9,))
-
-
-def hat_dvec(grad27):
-    """Stacked gradient of the diagonal extraction, from entry gradients."""
-    grad27 = _as_float_array(grad27, (9, 3), "grad27")
-    return _hat_select(grad27, _DVEC_IDX, _DVEC_SIGN)
-
-
-def hat_skewvec(grad27):
-    """Stacked gradient of the strictly-upper extraction."""
-    grad27 = _as_float_array(grad27, (9, 3), "grad27")
-    return _hat_select(grad27, _SKEWVEC_IDX, _SKEWVEC_SIGN)
-
-
-def hat_symvec(grad27):
-    """Stacked gradient of the strictly-lower extraction."""
-    grad27 = _as_float_array(grad27, (9, 3), "grad27")
-    return _hat_select(grad27, _SYMVEC_IDX, _SYMVEC_SIGN)
 
 
 def _apply_l(y, gd, gs, gm) -> np.ndarray:
@@ -236,8 +212,7 @@ def curl_product_pointwise(grad_x, x, y, curl_y) -> np.ndarray:
     x = _as_float_array(x, (3, 3), "x")
     y = _as_float_array(y, (3, 3), "y")
     curl_y = _as_float_array(curl_y, (3, 3), "curl_y")
-    # grad_x is checked once here, not again by each public hat_* map
-    gd, gs, gm = (_hat_select(grad_x, idx, sign).reshape(grad_x.shape[:-2] + (3, 3))
+    gd, gs, gm = (_gather(grad_x, idx, sign)
                   for idx, sign in ((_DVEC_IDX, _DVEC_SIGN),
                                     (_SKEWVEC_IDX, _SKEWVEC_SIGN),
                                     (_SYMVEC_IDX, _SYMVEC_SIGN)))

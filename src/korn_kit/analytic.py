@@ -207,13 +207,5 @@ def random_polynomial_matrix(seed, per_axis_degree=1, total_degree=2) -> Polynom
     return _random_polynomial((3, 3), seed, per_axis_degree, total_degree)
 
 
-def random_polynomial_vector(seed, per_axis_degree=1, total_degree=2) -> PolynomialField:
-    return _random_polynomial((3,), seed, per_axis_degree, total_degree)
-
-
 def random_trig_matrix(seed, amplitude=1.0, wavenumber=1.0) -> TrigField:
     return _random_trig((3, 3), seed, amplitude, wavenumber)
-
-
-def random_trig_vector(seed, amplitude=1.0, wavenumber=1.0) -> TrigField:
-    return _random_trig((3,), seed, amplitude, wavenumber)

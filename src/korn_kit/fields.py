@@ -63,6 +63,8 @@ class GridSpec:
             raise ValueError("origin length must match grid dimension")
         if any(n < 1 for n in shape):
             raise ValueError("grid shape entries must be positive")
+        if self.num_points > POINT_CAP:
+            raise GridTooLarge(f"grid has {self.num_points} points, cap is {POINT_CAP}")
         if not all(math.isfinite(c) for c in origin):
             raise ValueError(f"grid origin must be finite, got {origin}")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
@@ -74,8 +76,6 @@ class GridSpec:
             raise ValueError(f"grid spacing {self.spacing} gives a cell measure "
                              f"spacing**{len(shape)} = {cell} outside the normal "
                              f"float range")
-        if self.num_points > POINT_CAP:
-            raise GridTooLarge(f"grid has {self.num_points} points, cap is {POINT_CAP}")
 
     @property
     def dim(self) -> int:

@@ -175,7 +175,7 @@ def test_criterion_7_korn_kernel_structure():
 
 
 def test_criterion_8_gp_consistency_identity():
-    zeta_case = analytic.random_trig_vector(1008, wavenumber=2.0)
+    zeta_case = analytic._random_trig((3,), 1008, 1.0, 2.0)
     p_case = analytic.RotationMatrixField(axis=(1.0, 2.0, 2.0), base=0.4,
                                           lin=(0.8, 0.5, 0.3), amp=0.2,
                                           freq=(1.5, 0.0, 1.0))

@@ -112,8 +112,14 @@ class TestExtractions:
         assert np.array_equal(algebra.dvec(m), np.zeros(3))
 
 
+# vec index and sign of each entry read by dvec, skewvec and symvec
+_EXTRACTIONS = (((0, 4, 8), (1.0, 1.0, 1.0)),
+                ((5, 2, 1), (-1.0, 1.0, -1.0)),
+                ((7, 6, 3), (1.0, -1.0, 1.0)))
+
+
 def _stacked_rows(grad27, idx, sign):
-    # the per-row stack that the single-gather hat maps replaced
+    # the signed gradient rows of one extraction, stacked one row at a time
     rows = np.stack([s * grad27[..., k, :] for k, s in zip(idx, sign)], axis=-2)
     return rows.reshape(rows.shape[:-2] + (9,))
 
@@ -123,12 +129,14 @@ class TestHatMaps:
     def test_gather_equals_per_row_stack(self, shape):
         grad27 = np.random.default_rng(12).uniform(-1, 1, shape)
         grad27[(0,) * (len(shape) - 1)] = 0.0  # signed zeros keep their sign too
-        for hat, idx, sign in ((algebra.hat_dvec, (0, 4, 8), (1.0, 1.0, 1.0)),
-                               (algebra.hat_skewvec, (5, 2, 1), (-1.0, 1.0, -1.0)),
-                               (algebra.hat_symvec, (7, 6, 3), (1.0, -1.0, 1.0))):
-            got = hat(grad27)
+        tables = ((algebra._DVEC_IDX, algebra._DVEC_SIGN),
+                  (algebra._SKEWVEC_IDX, algebra._SKEWVEC_SIGN),
+                  (algebra._SYMVEC_IDX, algebra._SYMVEC_SIGN))
+        for (idx, sign), (table_idx, table_sign) in zip(_EXTRACTIONS, tables):
+            got = algebra._gather(grad27, table_idx, table_sign)
             expected = _stacked_rows(grad27, idx, sign)
-            assert got.shape == shape[:-2] + (9,)
+            assert got.shape == shape[:-2] + (3, 3)
+            got = got.reshape(expected.shape)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -248,9 +256,8 @@ class TestCurlProduct:
         y = rng.uniform(-1, 1, (200, 3, 3))
         curl_y = rng.uniform(-1, 1, (200, 3, 3))
         ops = build_l_operators(y)
-        combo = (np.einsum("...pq,...q->...p", ops.diag, algebra.hat_dvec(grad27))
-                 + np.einsum("...pq,...q->...p", ops.skew, algebra.hat_skewvec(grad27))
-                 + np.einsum("...pq,...q->...p", ops.sym, algebra.hat_symvec(grad27)))
+        combo = sum(np.einsum("...pq,...q->...p", op, _stacked_rows(grad27, idx, sign))
+                    for op, (idx, sign) in zip((ops.diag, ops.skew, ops.sym), _EXTRACTIONS))
         expected = algebra.mat_of_vec(combo) + x @ curl_y
         got = algebra.curl_product_pointwise(grad27, x, y, curl_y)
         assert got.shape == (200, 3, 3)

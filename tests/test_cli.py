@@ -2,6 +2,8 @@
 
 import functools
 import json
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -101,6 +103,21 @@ class TestExitCodes:
                         "--out", str(tmp_path)])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
+
+    @pytest.mark.parametrize("command, params", [
+        (["transport", "flood"], {"shape": [3, 3, 2 ** 1100]}),
+        (["verify-curl"], {"shape": 2 ** 1100}),
+    ], ids=["flood", "verify-curl"])
+    def test_shape_past_the_float_range_is_typed(self, tmp_path, capsys, command,
+                                                 params):
+        # the default spacing 1.0 / n overflowed, and the error JSON named no key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "GridTooLarge"
+        assert err["message"].endswith(f"points, cap is {fields.POINT_CAP}")
 
     @pytest.mark.parametrize("command, params", [
         (["verify-curl"], {"shape": 1}),
@@ -413,6 +430,37 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
+
+    @pytest.mark.parametrize("params, key", [
+        ({"face_value": [1e308, 0, 0]}, "face_value"),
+        ({"face_value": [-1e307, 0, 1e307]}, "face_value"),
+        ({"shape": [3, 3, 800], "spacing": 1.0, "tol": 1.0}, "spacing"),
+    ], ids=["face-1e308", "face-two-1e307", "growth-e799"])
+    def test_overflowing_exponential_names_its_key(self, tmp_path, capsys, params, key):
+        # max|face_value| e^((n - 1) h) past the float range: RK4 overflowed
+        # and the error JSON named no key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["transport", "propagate", "--config", str(cfg),
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", key)
+
+    def test_exponential_just_inside_the_float_room_passes(self, tmp_path):
+        # the default grid: 17 points at h = 1/17 along the last axis
+        peak = 0.999 * sys.float_info.max / 16.0 / math.exp(16 / 17)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"face_value": [peak, -peak, 0.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["transport", "propagate", "--config", str(cfg),
+                            "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "transport_propagate.json")
+        assert math.isfinite(report["zeta_max"]) and report["zeta_max"] > peak
 
     @pytest.mark.parametrize("tol, code", [(1e-6, 1), (1.0, 0)], ids=["tight", "loose"])
     def test_coarse_exponential_with_tol_runs(self, tmp_path, tol, code):
@@ -730,6 +778,34 @@ class TestKornCommands:
         report = read_report(tmp_path, "korn_rigid.json")
         assert report["recovery"]["reconstruction_residual"] <= 1e-12
         assert report["rotation_error"] <= 1e-12
+
+    @pytest.mark.parametrize("params", [
+        {"shape": [33, 33, 33], "spacing": 1.0}, {"shape": [49, 49, 49]},
+    ], ids=["33-spacing-1", "49-default-spacing"])
+    def test_rigid_affine_holds_on_large_grids(self, tmp_path, params):
+        # the means over N points leave about eps N max|data| of round-off:
+        # 1.3e-11 in the reconstruction at 33^3, 1.3e-12 in the rotation at 49^3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        assert run_cli(["korn", "rigid", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+
+    def test_rigid_affine_large_grid_still_sees_a_perturbation(self, tmp_path,
+                                                               monkeypatch):
+        recover = korn.rigid_recover
+
+        def perturbed(phi, psi, **kwargs):
+            values = phi.values.copy()
+            values[16, 16, 16, 0] += 1e-6
+            return recover(VectorField(phi.grid, values), psi, **kwargs)
+
+        monkeypatch.setattr(cli.korn, "rigid_recover", perturbed)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shape": [33, 33, 33], "spacing": 1.0}))
+        assert run_cli(["korn", "rigid", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 1
+        report = read_report(tmp_path, "korn_rigid.json")
+        assert report["recovery"]["reconstruction_residual"] > 5e-7
 
     def test_rigid_curvilinear(self, tmp_path):
         cfg = tmp_path / "cfg.json"

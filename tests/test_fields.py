@@ -194,7 +194,7 @@ class TestFdGrad:
             assert np.max(np.abs(grad - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_trig_second_order(self):
-        case = analytic.random_trig_vector(0, wavenumber=2.0)
+        case = analytic._random_trig((3,), 0, 1.0, 2.0)
 
         def err(grid):
             grad = fd_grad(case.sample(grid))
@@ -229,7 +229,7 @@ class TestFdGrad:
 class TestFdCurl:
     def test_curl_of_gradient_vanishes(self):
         g = unit_grid(9)
-        u = analytic.random_polynomial_vector(1, per_axis_degree=2, total_degree=2)
+        u = analytic._random_polynomial((3,), 1, 2, 2)
         curl = fd_curl_rowwise(fd_grad(u.sample(g)))
         inner = g.interior()
         assert np.max(np.abs(curl.values[inner])) <= 1e-12
@@ -266,7 +266,7 @@ class TestFdCurl:
     def test_curl_of_gradient_within_h_squared(self):
         # mixed difference operators commute exactly, so the residual sits at
         # roundoff, far below the h^2 budget the bound allows
-        case = analytic.random_trig_vector(9, wavenumber=2.0)
+        case = analytic._random_trig((3,), 9, 1.0, 2.0)
         for n in (9, 17):
             g = unit_grid(n)
             curl = fd_curl_rowwise(fd_grad(case.sample(g)))
@@ -659,8 +659,7 @@ class TestMakeAnalyticField:
 
     @pytest.mark.parametrize("lead", [(3, 3), (3,)], ids=["matrix", "vector"])
     def test_trig_value_matches_formula(self, lead):
-        maker = analytic.random_trig_matrix if lead == (3, 3) else analytic.random_trig_vector
-        case = maker(9, wavenumber=2.0)
+        case = analytic._random_trig(lead, 9, 1.0, 2.0)
         points = GridSpec((5, 4, 6), (0.2, -0.1, 0.4), 0.13).points()
         sub = "rcj,...j->...rc" if lead == (3, 3) else "cj,...j->...c"
         arg = np.einsum(sub, case.wave, points) + case.phase
@@ -706,7 +705,7 @@ class TestMakeAnalyticField:
 
     def test_sample_type_follows_the_value_shape(self):
         g = unit_grid(4)
-        vector = analytic.random_trig_vector(1).sample(g)
+        vector = analytic._random_trig((3,), 1, 1.0, 1.0).sample(g)
         matrix = analytic.random_trig_matrix(1).sample(g)
         assert type(vector) is VectorField and vector.values.shape == g.shape + (3,)
         assert type(matrix) is MatrixField and matrix.values.shape == g.shape + (3, 3)

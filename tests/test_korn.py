@@ -468,7 +468,7 @@ class TestBuildGP:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_field_identity_second_order(self):
-        zeta_case = analytic.random_trig_vector(5, wavenumber=2.0)
+        zeta_case = analytic._random_trig((3,), 5, 1.0, 2.0)
         p_case = analytic.RotationMatrixField(axis=(1.0, 2.0, 2.0), base=0.4,
                                               lin=(0.8, 0.5, 0.3), amp=0.2,
                                               freq=(1.5, 0.0, 1.0))

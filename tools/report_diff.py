@@ -6,8 +6,10 @@ Runs every experiment at its default config (seed 0), the configs in
 CONFIGS, and every benchmark workload (seed 901) once with this checkout's
 src/ and once with DIR's, one process per run, with OPENBLAS_NUM_THREADS=1.
 CONFIGS runs korn gp and korn eig with a rotation-valued P, korn eig on both
-Gram matrices, and a free korn probe with the H1 Gram at 1029 DOFs, above
-the dense cap, whose kernel vector goes through the kernel diagnostics.
+Gram matrices, a free korn probe with the H1 Gram at 1029 DOFs, above
+the dense cap, whose kernel vector goes through the kernel diagnostics, and
+korn rigid on exact affine data over a 33^3 grid at spacing 1, where the
+verdict rests on the round-off floors of its default tolerance.
 Those configs and the workload inputs (by perfbench/workloads.py) are
 written once and both sides read them, so their config_sha256 agree.  With
 the workloads' graded-roughness and trigonometric fields, the runs sample
@@ -39,6 +41,7 @@ CONFIGS = {
     "korn-probe-sparse": ("korn-probe", {
         "gamma": "none", "gram": "h1", "shape": [7, 7, 7], "spacing": 1 / 7,
         "p_family": {"name": "graded-roughness", "seed": 1, "frequency": 2.0}}),
+    "korn-rigid-large": ("korn-rigid", {"shape": [33, 33, 33], "spacing": 1.0}),
 }
 # argv: src directory, experiment, config path ("" for the defaults), output directory
 RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from korn_kit import cli; "
