@@ -125,12 +125,12 @@ class SkewMat3:
         object.__setattr__(self, "axial", _as_float_array(self.axial, (3,), "axial"))
 
     @classmethod
-    def from_matrix(cls, m, tol=0.0):
-        """Build from a 3x3 matrix whose symmetric part is within tol."""
+    def from_matrix(cls, m):
+        """Build from a 3x3 matrix whose symmetric part is exactly zero."""
         m = _as_float_array(m, (3, 3), "m")
         worst = float(np.max(np.abs(sym(m))))
-        if worst > tol:
-            raise ValueError(f"matrix is not skew-symmetric (|sym part| = {worst:g} > {tol:g})")
+        if worst > 0.0:
+            raise ValueError(f"matrix is not skew-symmetric (|sym part| = {worst:g})")
         return cls(axl(skew(m)))
 
     @property

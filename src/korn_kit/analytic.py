@@ -201,10 +201,10 @@ def _random_trig(lead, seed, amplitude, wavenumber):
                      rng.uniform(0.0, 2.0 * np.pi, lead))
 
 
-def random_polynomial_matrix(seed, per_axis_degree=1, total_degree=2) -> PolynomialField:
-    """Seeded polynomial matrix field; per-axis degree 1 keeps products
-    stencil-exact under second-order differences."""
-    return _random_polynomial((3, 3), seed, per_axis_degree, total_degree)
+def random_polynomial_matrix(seed, per_axis_degree=1) -> PolynomialField:
+    """Seeded polynomial matrix field of total degree at most 2; per-axis degree 1
+    keeps products stencil-exact under second-order differences."""
+    return _random_polynomial((3, 3), seed, per_axis_degree, 2)
 
 
 def random_trig_matrix(seed, amplitude=1.0, wavenumber=1.0) -> TrigField:

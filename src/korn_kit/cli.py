@@ -413,6 +413,10 @@ def _run_transport_propagate(cfg: RunConfig, rng):
             exact = np.exp(pts[..., -1] - grid.origin[-1])[..., None] * value
             residual_tol = cfg.tol or \
                 10.0 * grid.spacing ** 2 * float(np.max(np.abs(exact)))
+            if cfg.tol is None and residual_tol < sys.float_info.min:
+                # a subnormal tolerance cannot hold the round-off of exact data
+                raise ConfigError(f"face_value {cfg.params['face_value']!r} leaves the default "
+                                  f"tolerance {residual_tol:.3g} subnormal", key="face_value")
         else:
             coef = _random_coefficient(cfg, grid, rng)
             face = VectorField.zeros(grid.face(-1), grid.dim)
@@ -576,6 +580,9 @@ def _run_korn_rigid(cfg: RunConfig, rng):
             mean = _MEAN_ROUNDOFF * np.finfo(float).eps * grid.num_points
             tol = max(edge, mean * np.abs(omega).max())
             recon_tol = max(edge, mean * max(np.abs(phi_vals).max(), np.abs(psi_vals).max()))
+            if tol >= np.abs(omega).max():  # the shift swamps A psi: 0 would pass
+                raise ConfigError(f"spacing {grid.spacing} lifts the default rotation "
+                                  f"tolerance to {tol:.3g}, not below max|omega|", key="spacing")
         phi = VectorField(grid, phi_vals)
         psi = VectorField(grid, psi_vals)
         true_axial = omega

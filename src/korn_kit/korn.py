@@ -104,13 +104,19 @@ class KornProblem:
             object.__setattr__(self, "gamma_mask", mask)
 
 
+def _grad_times_inverse(u: VectorField, p: np.ndarray, min_det: float,
+                        name: str) -> np.ndarray:
+    """grad(u) P^{-1} at every grid point, for P given by its values p on the
+    grid of u; a det P below min_det raises DeterminantTooSmall naming name."""
+    algebra.det_floor(p, min_det, name)
+    return fd_grad(u).values @ np.linalg.inv(p)
+
+
 def seminorm(u: VectorField, P: MatrixField) -> float:
     """Discrete L2 norm of sym(grad(u) P^{-1}), nodal cells of volume h^3."""
     if u.grid != P.grid:
         raise DimensionMismatch("u and P must share a grid")
-    algebra.det_floor(P.values, algebra.DEFAULT_MIN_DET, "P")
-    p_inv = np.linalg.inv(P.values)
-    strain = algebra.sym(fd_grad(u).values @ p_inv)
+    strain = algebra.sym(_grad_times_inverse(u, P.values, algebra.DEFAULT_MIN_DET, "P"))
     h = u.grid.spacing
     return float(math.sqrt(h ** u.grid.dim * np.sum(strain * strain)))
 
@@ -189,31 +195,25 @@ def assemble_form(problem: KornProblem) -> DiscreteForm:
     for j in range(3):
         t0, t1, t2 = (sp.diags(p_inv[:, k, j]) @ d_ops[k] for k in range(3))
         dirs.append(t0 + t1 + t2)
+    pinned = (np.zeros(grid.shape, dtype=bool) if problem.gamma_mask is None
+              else problem.gamma_mask)
+    # the clamped DOFs are zero, so only the kept columns of each operator count
+    free = ~np.repeat(pinned.reshape(-1), 3)
     blocks = [0.5 * (sp.kron(dirs[j], unit_rows[i], format="csr")
                      + sp.kron(dirs[i], unit_rows[j], format="csr"))
               for i in range(3) for j in range(3)]
-    b = sp.vstack(blocks, format="csr")
+    b = sp.vstack(blocks, format="csr")[:, free]
     operator = (h ** 3) * (b.T @ b)
     operator = 0.5 * (operator + operator.T)
 
-    # (npts, 3 npts) operator for d_k u_i, rows ordered (i, k)
+    # operator for d_k u_i on the kept DOFs, rows ordered (i, k)
     grad_stack = sp.vstack([sp.kron(d_ops[k], unit_rows[i], format="csr")
-                            for i in range(3) for k in range(3)], format="csr")
-    eye = sp.identity(3 * npts, format="csr")
+                            for i in range(3) for k in range(3)], format="csr")[:, free]
+    eye = sp.identity(int(np.count_nonzero(free)), format="csr")
     gram_l2 = (h ** 3) * eye
     gram_h1 = (h ** 3) * (eye + grad_stack.T @ grad_stack)
     gram_h1 = 0.5 * (gram_h1 + gram_h1.T)
-
-    if problem.gamma_mask is None:
-        free = np.ones(3 * npts, dtype=bool)
-    else:
-        free = ~np.repeat(problem.gamma_mask.reshape(-1), 3)
-
-    def restrict(m):
-        return m.tocsr()[free][:, free].tocsr()
-
-    return DiscreteForm(restrict(operator), restrict(gram_l2), restrict(gram_h1),
-                        free, grid)
+    return DiscreteForm(operator.tocsr(), gram_l2, gram_h1.tocsr(), free, grid)
 
 
 @dataclass(frozen=True)
@@ -463,18 +463,13 @@ def kernel_vector_diagnostics(problem: KornProblem, u: VectorField) -> KernelDia
     """Follow a candidate kernel displacement through the transport chain."""
     if u.grid != problem.grid:
         raise DimensionMismatch("u must live on the problem grid")
-    p_inv = np.linalg.inv(problem.P.values)
-    a_field = fd_grad(u).values @ p_inv
+    a_field = _grad_times_inverse(u, problem.P.values, problem.min_det, "P")
     skewness = float(np.max(np.abs(algebra.sym(a_field))))
     zeta = VectorField(problem.grid, algebra.axl(algebra.skew(a_field)))
     gp = build_gp(problem.P, min_det=problem.min_det)
     residual = system_residual(zeta, gp)
-    if problem.gamma_mask is None:
-        gamma_max = None
-        missing = True
-    else:
-        gamma_max = float(np.max(np.abs(zeta.values[problem.gamma_mask])))
-        missing = False
+    missing = problem.gamma_mask is None
+    gamma_max = None if missing else float(np.max(np.abs(zeta.values[problem.gamma_mask])))
     return KernelDiagnostics(skewness, zeta, gamma_max, residual, missing)
 
 
@@ -535,10 +530,7 @@ def rigid_recover(phi: VectorField, psi: VectorField,
     """
     if phi.grid != psi.grid:
         raise DimensionMismatch("phi and psi must share a grid")
-    grad_phi = fd_grad(phi).values
-    grad_psi = fd_grad(psi).values
-    algebra.det_floor(grad_psi, min_det, "grad(psi)")
-    a_field = grad_phi @ np.linalg.inv(grad_psi)
+    a_field = _grad_times_inverse(phi, fd_grad(psi).values, min_det, "grad(psi)")
     skewness = float(np.max(np.abs(algebra.sym(a_field))))
     spatial = tuple(range(phi.grid.dim))
     a_bar = a_field.mean(axis=spatial)

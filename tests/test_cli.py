@@ -473,6 +473,26 @@ class TestExitCodes:
         report = read_report(tmp_path, "transport_propagate.json")
         assert report["residual"]["tolerance"] == tol
 
+    def test_subnormal_exponential_tolerance_names_face_value(self, tmp_path, capsys):
+        # 10 h^2 max|exact| underflows to 0, and exact data read 1e-323 against it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"face_value": [5e-324, 0, 0]}))
+        assert run_cli(["transport", "propagate", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", "face_value")
+
+    @pytest.mark.parametrize("params", [
+        {"face_value": [1e-300, 0, 0]}, {"face_value": [5e-324, 0, 0], "tol": 1e-300},
+    ], ids=["normal-tolerance", "explicit-tol"])
+    def test_tiny_exponential_face_values_run(self, tmp_path, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        assert run_cli(["transport", "propagate", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "transport_propagate.json")
+        assert report["residual"]["tolerance"] >= sys.float_info.min
+
     def test_out_flag_is_checked_like_the_document_out(self, tmp_path, capsys,
                                                        monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -829,6 +849,23 @@ class TestKornCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spacing": spacing}))
         assert run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("spacing", [1e-20, 1e-100], ids=["1e-20", "1e-100"])
+    def test_rigid_affine_refuses_a_spacing_that_hides_the_rotation(self, tmp_path,
+                                                                     capsys, spacing):
+        # the shift swamps A psi in the sampled phi, and the edge floor then
+        # exceeds max|omega|: rotation errors of 910 and 0.92 passed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spacing": spacing}))
+        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
+
+    def test_rigid_affine_with_tol_runs_at_a_hiding_spacing(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spacing": 1e-100, "tol": 1e-6}))
+        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert read_report(tmp_path, "korn_rigid.json")["rotation_error"] > 0.5
 
     def test_gp_default_keeps_its_identity_tolerance(self, tmp_path):
         assert run_cli(["korn", "gp", "--out", str(tmp_path)]) == 0

@@ -69,6 +69,11 @@ class TestSeminorm:
         with pytest.raises(DeterminantTooSmall):
             seminorm(VectorField.zeros(g, 3), p)
 
+    def test_refuses_u_on_another_grid(self):
+        g = unit_cell_grid()
+        with pytest.raises(DimensionMismatch, match="share a grid"):
+            seminorm(VectorField.zeros(unit_cell_grid(6), 3), identity_p(g))
+
 
 class TestKornProblem:
     def test_gamma_must_touch_boundary_only(self):
@@ -552,6 +557,36 @@ class TestProbe:
         assert diag.zeta_gamma_max == 0.0
         assert diag.transport_residual.max_norm == 0.0
 
+    def test_diagnostics_refuse_u_on_another_grid(self):
+        g = unit_cell_grid()
+        problem = KornProblem(g, identity_p(g), face_mask(g, 0, 0))
+        with pytest.raises(DimensionMismatch, match="problem grid"):
+            kernel_vector_diagnostics(problem, VectorField.zeros(unit_cell_grid(6), 3))
+
+    @pytest.mark.parametrize("n, clamp, kernel_dim, dense", [
+        (5, "point", 3, True), (7, "point", 3, False), (5, "segment", 1, True),
+    ], ids=["point-5-dense", "point-7-band", "segment-5-dense"])
+    def test_clamp_of_measure_zero_leaves_rotations(self, n, clamp, kernel_dim, dense):
+        # a clamped point or segment is no boundary patch: the rotations about
+        # it stay in the kernel, and their constant axial vector solves the
+        # transport system but does not vanish on the clamp
+        g = unit_cell_grid(n)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[(0, 0, 0) if clamp == "point" else (slice(None), 0, 0)] = True
+        probe = norm_property_probe(KornProblem(g, identity_p(g), mask))
+        assert (probe.rayleigh.kernel_dim, probe.rayleigh.dense) == (kernel_dim, dense)
+        assert probe.rayleigh.census_complete
+        diag = probe.diagnostics
+        assert diag.skewness_residual <= 1e-10
+        assert diag.transport_residual.passed
+        z = diag.zeta.values
+        assert np.max(np.abs(z - z.reshape(-1, 3)[0])) <= 1e-9
+        if clamp == "segment":  # only the rotation about the segment's own axis
+            assert np.max(np.abs(z[..., 1:])) <= 1e-9
+        assert diag.zeta_gamma_max >= 0.5
+        assert probe.diagnosis.startswith(
+            "kernel displacement found although the transport chain is consistent")
+
 
 class TestRigidRecover:
     def test_affine_identity_psi(self):
@@ -612,6 +647,12 @@ class TestRigidRecover:
         psi = VectorField(g, np.zeros(g.shape + (3,)))
         with pytest.raises(DeterminantTooSmall):
             rigid_recover(psi, psi)
+
+    def test_refuses_fields_on_different_grids(self):
+        g = unit_cell_grid()
+        psi = VectorField(g, g.points())
+        with pytest.raises(DimensionMismatch, match="share a grid"):
+            rigid_recover(VectorField.zeros(unit_cell_grid(6), 3), psi)
 
 
 class TestSymConjugation:

@@ -9,7 +9,8 @@ CONFIGS runs korn gp and korn eig with a rotation-valued P, korn eig on both
 Gram matrices, a free korn probe with the H1 Gram at 1029 DOFs, above
 the dense cap, whose kernel vector goes through the kernel diagnostics, and
 korn rigid on exact affine data over a 33^3 grid at spacing 1, where the
-verdict rests on the round-off floors of its default tolerance.
+verdict rests on the round-off floors of its default tolerance, and korn
+rigid on the curvilinear case, whose grad(psi) varies from point to point.
 Those configs and the workload inputs (by perfbench/workloads.py) are
 written once and both sides read them, so their config_sha256 agree.  With
 the workloads' graded-roughness and trigonometric fields, the runs sample
@@ -42,6 +43,7 @@ CONFIGS = {
         "gamma": "none", "gram": "h1", "shape": [7, 7, 7], "spacing": 1 / 7,
         "p_family": {"name": "graded-roughness", "seed": 1, "frequency": 2.0}}),
     "korn-rigid-large": ("korn-rigid", {"shape": [33, 33, 33], "spacing": 1.0}),
+    "korn-rigid-curvilinear": ("korn-rigid", {"case": "curvilinear"}),
 }
 # argv: src directory, experiment, config path ("" for the defaults), output directory
 RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from korn_kit import cli; "
