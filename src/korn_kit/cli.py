@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from . import algebra, analytic, fieldio, korn, reporting, transport
 from .errors import ConfigError, GridTooLarge, KornKitError
 from .fields import (CoefficientTensorField, GridSpec, MatrixField, VectorField,
                      _require_stencil_room, curl_product_discrepancy, refinement_errors)
-from .korn import _is_real
+from .korn import _is_real, _is_vector
 
 SCHEMA = "korn-kit/1"
 # experiments that assemble a Korn form and eigensolve it: the only ones that
@@ -168,6 +169,11 @@ _positive = _real("a positive finite number", lambda v: v > 0)
 _finite_list = _kind("a list of finite numbers",
                      lambda v: isinstance(v, list) and all(map(_is_real, v)),
                      lambda v: [float(n) for n in v])
+# a zero face value would make the exact solution of transport propagate's
+# exponential case zero, and every check on it pass vacuously
+_face_value = _kind("three finite numbers, not all zero",
+                    lambda v: isinstance(v, list) and _is_vector(v) and any(v),
+                    lambda v: np.array(v, dtype=float))
 _shape = _kind("a list of positive integers",
                lambda v: isinstance(v, list) and v and all(
                    _is_int(n) and n >= 1 for n in v), tuple)
@@ -205,10 +211,10 @@ def _naming(key):
         raise ConfigError(f"invalid {key}: {exc}", key=key) from exc
 
 
-def _grid(cfg: RunConfig, three_d=False) -> GridSpec:
-    """The grid of the keys shape, spacing and origin; three_d asks for 3 axes."""
+def _grid(cfg: RunConfig, stencil=False) -> GridSpec:
+    """The grid of the keys shape, spacing and origin; stencil asks for 3 axes of 3+ points."""
     shape, spacing, origin = cfg["shape"], cfg["spacing"], cfg["origin"]
-    if three_d and len(shape) != 3:
+    if stencil and len(shape) != 3:
         raise ConfigError(f"shape must have 3 axes, got {cfg.params['shape']!r}",
                           key="shape")
     if origin is not None and len(origin) != len(shape):
@@ -219,42 +225,43 @@ def _grid(cfg: RunConfig, three_d=False) -> GridSpec:
     # overflows, so a shape past the float range meets GridSpec's point cap
     with _naming("shape"):
         grid = GridSpec(shape, tuple(origin or (0.0,) * len(shape)), 1 / shape[-1])
+        if stencil:
+            _require_stencil_room(grid)
     if spacing is None:
         return grid
     with _naming("spacing"):
         return replace(grid, spacing=spacing)
 
 
-# np.gradient's one-sided edge weights do not sum to exactly 0 in floating
-# point, so a derivative of exact data carries up to about eps max|data| / h;
-# the multiple measured over 3^3 to 33^3 grids and spacings 1e-100 to 1 is at
-# most 1.45 for korn gp and 0.22 for korn rigid
-_EDGE_ROUNDOFF = 4.0
+# a default tolerance of this share of its check's scale or more would pass a
+# result that is off by half the scale; a run that sets one is refused
+_VACUOUS_SHARE = 0.5
 
 
-# korn.rigid_recover averages over the grid's N points, adding them one at a
-# time, so on exact affine data its rotation carries up to about eps N max|omega|
-# and its reconstruction about eps N max|data|; the multiples measured over 3^3
-# to 65^3 grids and spacings 1e-100 to 1e50 are at most 0.12 and 0.11
-_MEAN_ROUNDOFF = 0.25
+def _default_tolerance(scale, key, *, spacing, roundings=1, points=0, floor=0.0,
+                       scale_key=None) -> float:
+    """The default tolerance of a check on exact data: scale, the size of the
+    checked quantity, times the larger of floor (a truncation error) and the
+    round-off.  Differencing data rounded roundings times a cell (once for a
+    sample, once per RK4 substep) leaves up to 0.5 eps roundings / spacing,
+    spacing in the data's own length unit (1.45 at korn gp's edge stencils),
+    and a mean over points points up to 0.13 eps points (measured).  A
+    tolerance of _VACUOUS_SHARE of scale or more is refused naming key, and
+    one below the normal float range naming scale_key (key where None)."""
+    share = max(floor, sys.float_info.epsilon * (4.0 * roundings / spacing + 0.25 * points))
+    tol = share * scale
+    if not (share < _VACUOUS_SHARE and tol >= sys.float_info.min):
+        key = key if share >= _VACUOUS_SHARE else scale_key or key
+        raise ConfigError(f"{key} leaves the default tolerance at {tol:.3g}, {share:.3g} "
+                          f"times the checked quantity's scale: not a normal float "
+                          f"below {_VACUOUS_SHARE} times it; give a tol", key=key)
+    return tol
 
 
-def _exact_tolerance(tol, spacing, *data) -> float:
-    """tol, or where larger the edge round-off of differencing data at spacing:
-    the default tolerance of a check on data the stencils differentiate exactly."""
-    peak = max(float(np.max(np.abs(d))) for d in data)
-    return max(tol, _EDGE_ROUNDOFF * np.finfo(float).eps * peak / spacing)
-
-
-def _require_stencil(grid: GridSpec, key) -> None:
-    """Refuse, naming key, a grid too small for the package's difference stencils."""
-    with _naming(key):
-        _require_stencil_room(grid)
-
-
-def _input_field(cfg: RunConfig, key, cls, *, grid=None, dim=None, components=None):
+def _input_field(cfg: RunConfig, key, cls, *, grid=None, dim=None, components=None,
+                 stencil=False):
     """The field that the file cfg[key] holds: a cls, and where given, on grid,
-    with dim axes and with components components."""
+    with dim axes, with components components and with stencil room."""
     path = cfg[key]
     if path is None:
         raise ConfigError(f"{key} must name a field file", key=key)
@@ -271,6 +278,9 @@ def _input_field(cfg: RunConfig, key, cls, *, grid=None, dim=None, components=No
     if components is not None and fld.components != components:
         raise ConfigError(f"{key} must hold {components}-component vectors, got "
                           f"{fld.components}", key=key)
+    if stencil:
+        with _naming(key):
+            _require_stencil_room(fld.grid)
     return fld
 
 
@@ -280,11 +290,9 @@ def _p_field(cfg: RunConfig):
     A p_file brings its own grid along, so the grid keys beside it go unread.
     """
     if cfg["p_file"] is not None:
-        fld = _input_field(cfg, "p_file", MatrixField, dim=3)
-        _require_stencil(fld.grid, "p_file")
+        fld = _input_field(cfg, "p_file", MatrixField, dim=3, stencil=True)
         return fld, fld.grid, None
-    grid = _grid(cfg, three_d=True)
-    _require_stencil(grid, "shape")
+    grid = _grid(cfg, stencil=True)
     name, keywords = cfg["p_family"]
     with _naming("p_family"):
         return korn.builtin_p_field(name, grid, **keywords), grid, name
@@ -358,14 +366,6 @@ def _run_verify_curl(cfg: RunConfig, rng):
     return passed, body, {"levels": (["spacing", "max_error", "order"], rows)}
 
 
-def _exponential_case(grid):
-    n = grid.dim
-    tensor = np.zeros((n, n, n))
-    for i in range(n):
-        tensor[i, n - 1, i] = 1.0
-    return CoefficientTensorField.constant(grid, tensor)
-
-
 def _random_coefficient(cfg: RunConfig, grid, rng):
     """G of transport propagate's zero case and of transport flood: independent
     uniform entries in [-coefficient_scale, coefficient_scale]."""
@@ -375,55 +375,42 @@ def _random_coefficient(cfg: RunConfig, grid, rng):
 
 def _run_transport_propagate(cfg: RunConfig, rng):
     case, steps = cfg["case"], cfg["steps"]
-
+    exact = None
     if case == "files":
-        coef = _input_field(cfg, "g_file", CoefficientTensorField)
+        coef = _input_field(cfg, "g_file", CoefficientTensorField, stencil=True)
         face = _input_field(cfg, "face_file", VectorField)
         grid = coef.grid
         residual_tol = cfg.tol or 1e-6
-        exact = None
+    elif case == "zero":
+        grid = _grid(cfg, stencil=True)
+        coef = _random_coefficient(cfg, grid, rng)
+        face = VectorField.zeros(grid.face(-1), grid.dim)
+        exact = np.zeros(grid.shape + (grid.dim,))
+        residual_tol = cfg.tol or 1e-10
     else:
-        grid = _grid(cfg, three_d=True)
-        if case == "exponential":
-            coef = _exponential_case(grid)
-            value = np.asarray(cfg["face_value"])
-            if value.shape != (grid.dim,) or not value.any():
-                # a zero face value makes the exact solution and the default
-                # tolerance zero, so every check would pass vacuously
-                raise ConfigError(f"face_value must be {grid.dim} numbers, not all "
-                                  f"zero, got {cfg.params['face_value']!r}",
-                                  key="face_value")
-            # the exact solution peaks at max|face_value| e^((n - 1) h), and RK4's
-            # stage sums reach about 6 times that (measured): the growth and the
-            # peak both stay 16 times inside the float range
-            growth = (grid.shape[-1] - 1) * grid.spacing
-            for key, log_peak in (("spacing", growth),
-                                  ("face_value", growth + np.log(np.max(np.abs(value))))):
-                if log_peak > np.log(sys.float_info.max / 16.0):
-                    raise ConfigError(f"{key} makes the exact solution reach "
-                                      f"e^{log_peak:.4g}, past the float range / 16", key=key)
-            if cfg.tol is None and 10.0 * grid.spacing ** 2 >= 1.0:
-                # then the default tolerance 10 h^2 max|exact| is at least
-                # max|exact|, and zeta = 0 would pass every check as well
-                raise ConfigError(f"spacing {grid.spacing} leaves the default tolerance "
-                                  f"10 h^2 max|exact| no smaller than max|exact|; give a "
-                                  f"spacing below 10**-0.5 or a tol", key="spacing")
-            face = VectorField.constant(grid.face(-1), value)
-            pts = grid.points()
-            exact = np.exp(pts[..., -1] - grid.origin[-1])[..., None] * value
-            residual_tol = cfg.tol or \
-                10.0 * grid.spacing ** 2 * float(np.max(np.abs(exact)))
-            if cfg.tol is None and residual_tol < sys.float_info.min:
-                # a subnormal tolerance cannot hold the round-off of exact data
-                raise ConfigError(f"face_value {cfg.params['face_value']!r} leaves the default "
-                                  f"tolerance {residual_tol:.3g} subnormal", key="face_value")
-        else:
-            coef = _random_coefficient(cfg, grid, rng)
-            face = VectorField.zeros(grid.face(-1), grid.dim)
-            exact = np.zeros(grid.shape + (grid.dim,))
-            residual_tol = cfg.tol or 1e-10
+        grid = _grid(cfg, stencil=True)
+        # G_(i, n-1, i) = 1: zeta' = zeta along the last axis, 0 along the others
+        tensor = np.einsum("ik,j->ijk", np.eye(3), np.eye(3)[-1])
+        coef = CoefficientTensorField.constant(grid, tensor)
+        value = cfg["face_value"]
+        # the exact solution peaks at max|face_value| e^((n - 1) h), and RK4's
+        # stage sums reach about 6 times that (measured): the growth and the
+        # peak both stay 16 times inside the float range
+        growth = (grid.shape[-1] - 1) * grid.spacing
+        for key, log_peak in (("spacing", growth),
+                              ("face_value", growth + np.log(np.max(np.abs(value))))):
+            if log_peak > np.log(sys.float_info.max / 16.0):
+                raise ConfigError(f"{key} makes the exact solution reach "
+                                  f"e^{log_peak:.4g}, past the float range / 16", key=key)
+        face = VectorField.constant(grid.face(-1), value)
+        # from the offsets i h along the last axis, so the origin adds no round-off
+        exact = np.exp(grid.spacing * np.arange(grid.shape[-1]))[:, None] * value
+        # RK4 rounds each value once a substep, steps / (n - 1) of them a cell
+        residual_tol = cfg.tol or _default_tolerance(
+            float(np.max(np.abs(exact))), "spacing", spacing=grid.spacing,
+            roundings=math.ceil(steps / (grid.shape[-1] - 1)),
+            floor=10.0 * grid.spacing ** 2, scale_key="face_value")
 
-    _require_stencil(grid, "g_file" if case == "files" else "shape")
     # only a face file can miss the coefficient's grid: the other cases build
     # their face on grid.face(-1)
     with _naming("face_file"):
@@ -554,48 +541,41 @@ def _run_korn_probe(cfg: RunConfig, rng):
 
 def _run_korn_rigid(cfg: RunConfig, rng):
     case = cfg["case"]
+    body = {"case": case}
     if case == "files":
-        phi = _input_field(cfg, "phi_file", VectorField, dim=3, components=3)
+        phi = _input_field(cfg, "phi_file", VectorField, dim=3, components=3, stencil=True)
         psi = _input_field(cfg, "psi_file", VectorField, grid=phi.grid, components=3)
-        _require_stencil(phi.grid, "phi_file")
-        tol = recon_tol = cfg.tol or 1e-6
-        true_axial = None
+        recon_tol = cfg.tol or 1e-6
+        omega = None
     else:
-        grid = _grid(cfg, three_d=True)
-        _require_stencil(grid, "shape")
-        pts = grid.points()
+        grid = _grid(cfg, stencil=True)
+        # exact data in the grid's own units: psi from the offsets i h to the
+        # first point, the shift and the curvature over the extent L = (n - 1) h,
+        # so neither the origin nor the spacing changes their relative round-off
+        extent = (max(grid.shape) - 1) * grid.spacing
+        psi_vals = replace(grid, origin=(0.0,) * 3).points()
         omega = rng.uniform(-1.0, 1.0, 3)
-        shift = rng.uniform(-1.0, 1.0, 3)
-        if case == "affine":
-            psi_vals = pts
-        else:
-            psi_vals = pts.copy()
-            psi_vals[..., 2] += 0.25 * pts[..., 0] ** 2
-        rot = algebra.smat(omega)
-        phi_vals = np.einsum("ij,...j->...i", rot, psi_vals) + shift
-        tol = recon_tol = cfg.tol or 1e-6
-        if case == "affine" and cfg.tol is None:
-            # exact data: the round-off of the edge stencils and of the means
-            edge = _exact_tolerance(1e-12, grid.spacing, phi_vals, psi_vals)
-            mean = _MEAN_ROUNDOFF * np.finfo(float).eps * grid.num_points
-            tol = max(edge, mean * np.abs(omega).max())
-            recon_tol = max(edge, mean * max(np.abs(phi_vals).max(), np.abs(psi_vals).max()))
-            if tol >= np.abs(omega).max():  # the shift swamps A psi: 0 would pass
-                raise ConfigError(f"spacing {grid.spacing} lifts the default rotation "
-                                  f"tolerance to {tol:.3g}, not below max|omega|", key="spacing")
-        phi = VectorField(grid, phi_vals)
+        shift = extent * rng.uniform(-1.0, 1.0, 3)
+        if case == "curvilinear":
+            psi_vals[..., 2] += 0.25 * psi_vals[..., 0] ** 2 / extent
+        phi = VectorField(grid, psi_vals @ algebra.smat(omega).T + shift)
         psi = VectorField(grid, psi_vals)
-        true_axial = omega
+        # the stencils difference data that vary over n - 1 cells, and
+        # rigid_recover averages over the grid's points
+        roundoff = {"spacing": 1.0 / (max(grid.shape) - 1), "points": grid.num_points}
+        body["rotation_tolerance"] = cfg.tol or _default_tolerance(
+            float(np.abs(omega).max()), "shape", **roundoff)
+        recon_tol = cfg.tol or _default_tolerance(
+            max(phi.max_norm(), psi.max_norm()), "shape", **roundoff)
 
     # after the checks above, the floor on det grad(psi) is the one refusal left
     with _naming("min_det"):
         recovery = korn.rigid_recover(phi, psi, min_det=cfg["min_det"])
-    body = {"case": case, "recovery": recovery}
+    body.update(recovery=recovery, reconstruction_tolerance=recon_tol)
     passed = recovery.reconstruction_residual <= recon_tol
-    if true_axial is not None:
-        axial_err = float(np.max(np.abs(recovery.rotation.axial - true_axial)))
-        body["rotation_error"] = axial_err
-        passed = passed and axial_err <= tol
+    if omega is not None:
+        body["rotation_error"] = float(np.max(np.abs(recovery.rotation.axial - omega)))
+        passed = passed and body["rotation_error"] <= body["rotation_tolerance"]
     rows = [["skewness", recovery.skewness_residual],
             ["constancy", recovery.constancy_residual],
             ["reconstruction", recovery.reconstruction_residual]]
@@ -615,7 +595,7 @@ def _run_korn_gp(cfg: RunConfig, rng):
             "field_file": "gp_field.kfk"}
     passed = True
     if family == "identity":
-        tol = cfg.tol or _exact_tolerance(1e-12, grid.spacing, p_field.values)
+        tol = cfg.tol or _default_tolerance(1.0, "spacing", spacing=grid.spacing, floor=1e-12)
         passed = tensor.max_norm() <= tol
         body["identity_check_tolerance"] = tol
     return passed, body, {}
@@ -642,7 +622,7 @@ _EXPERIMENTS = {
     "transport-propagate": ({"case": ("exponential",
                                       _choice("exponential", "zero", "files")),
                              **_GRID, "steps": (200, _int_at_least(1)),
-                             "face_value": ([1.0, 0.5, -0.25], _finite_list),
+                             "face_value": ([1.0, 0.5, -0.25], _face_value),
                              "coefficient_scale": (1.0, _finite),
                              "g_file": (None, _optional(_path)),
                              "face_file": (None, _optional(_path))},

@@ -419,7 +419,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("spacing", [0.5, 150.0], ids=["half", "150"])
     def test_coarse_exponential_without_tol_names_spacing(self, tmp_path, capsys,
                                                           spacing):
-        # 10 h^2 >= 1: the default tolerance would pass zeta = 0 as well
+        # 10 h^2 >= 1/2: the default tolerance would pass an error of half
+        # the exact solution
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"shape": [5, 5, 5], "spacing": spacing}))
         with warnings.catch_warnings(record=True) as caught:
@@ -492,6 +493,38 @@ class TestExitCodes:
                         "--out", str(tmp_path)]) == 0
         report = read_report(tmp_path, "transport_propagate.json")
         assert report["residual"]["tolerance"] >= sys.float_info.min
+
+    @pytest.mark.parametrize("params", [
+        {"spacing": 1e-6}, {"shape": [3, 3, 3], "spacing": 1e-11},
+        {"origin": [0.0, 0.0, 1e300]}, {"origin": [1e-300, -1e200, -1e16]},
+    ], ids=["1e-6", "3-points-1e-11", "origin-1e300", "far-origin"])
+    def test_exponential_exact_data_passes_at_any_origin_and_fine_spacing(self, tmp_path,
+                                                                           params):
+        # 10 h^2 max|exact| had no round-off floor (residual 1.28e-10 against
+        # 1.0e-11 at h = 1e-6), and the exact solution was sampled at the
+        # points, whose origin 1e300 swallowed every offset i h
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["transport", "propagate", "--config", str(cfg),
+                            "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "transport_propagate.json")
+        assert report["reconstruction_error"] <= report["residual"]["tolerance"]
+
+    @pytest.mark.parametrize("params", [
+        {"spacing": 1e-15}, {"shape": [3, 3, 3], "spacing": 1e-13},
+    ], ids=["1e-15", "3-points-1e-13"])
+    def test_exponential_refuses_a_spacing_whose_round_off_swamps_the_check(
+            self, tmp_path, capsys, params):
+        # RK4 rounds each value once a substep, and differencing that over h
+        # leaves a residual of the order of max|exact| itself
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        assert run_cli(["transport", "propagate", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
 
     def test_out_flag_is_checked_like_the_document_out(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -850,22 +883,71 @@ class TestKornCommands:
         cfg.write_text(json.dumps({"spacing": spacing}))
         assert run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("spacing", [1e-20, 1e-100], ids=["1e-20", "1e-100"])
-    def test_rigid_affine_refuses_a_spacing_that_hides_the_rotation(self, tmp_path,
-                                                                     capsys, spacing):
-        # the shift swamps A psi in the sampled phi, and the edge floor then
-        # exceeds max|omega|: rotation errors of 910 and 0.92 passed
+    @pytest.mark.parametrize("params", [
+        {"spacing": 1e-20}, {"spacing": 1e-100}, {"spacing": 1e-15},
+        {"case": "curvilinear", "spacing": 1e-100},
+        {"case": "curvilinear", "origin": [1e200, 0, 0]},
+        {"spacing": 1e50, "origin": [-1e300, 1e-300, 5.0]},
+    ], ids=["1e-20", "1e-100", "1e-15", "curvilinear-1e-100", "curvilinear-origin-1e200",
+            "spacing-1e50-far-origin"])
+    def test_rigid_recovers_the_rotation_at_any_scale(self, tmp_path, params):
+        # the data are drawn in the grid's units: in absolute units the shift
+        # swamped A psi at tiny spacings (rotation error 0.918 at 1e-100 passed
+        # against a floor of 0.86 at 1e-15, or failed in the curvilinear case),
+        # and the curvature term 0.25 x_0^2 overflowed at origin 1e200
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"spacing": spacing}))
-        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
+        cfg.write_text(json.dumps(params))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        report = read_report(tmp_path, "korn_rigid.json")
+        assert report["rotation_error"] <= report["rotation_tolerance"] <= 1e-12
 
-    def test_rigid_affine_with_tol_runs_at_a_hiding_spacing(self, tmp_path):
+    def test_rigid_affine_with_tol_passes_at_a_tiny_spacing(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spacing": 1e-100, "tol": 1e-6}))
-        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert read_report(tmp_path, "korn_rigid.json")["rotation_error"] > 0.5
+        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "korn_rigid.json")
+        assert report["rotation_tolerance"] == report["reconstruction_tolerance"] == 1e-6
+        assert report["rotation_error"] <= 1e-12
+
+    @pytest.mark.parametrize("case", ["affine", "curvilinear"])
+    def test_rigid_reports_its_default_tolerances(self, tmp_path, case):
+        # the relative round-off of the means and stencils, times max|omega|
+        # and max|data|: far below 1e-12 at 9^3, and above the errors
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": case}))
+        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "korn_rigid.json")
+        axial = report["recovery"]["rotation"]["axial"]
+        assert report["rotation_error"] <= report["rotation_tolerance"]
+        assert report["rotation_tolerance"] <= 1e-12 * max(map(abs, axial))
+        assert (report["recovery"]["reconstruction_residual"]
+                <= report["reconstruction_tolerance"] <= 1e-12)
+
+    def test_rigid_files_report_their_tolerance(self, tmp_path):
+        grid = GridSpec((5, 5, 5), (0.0,) * 3, 0.25)
+        psi = VectorField(grid, grid.points())
+        fieldio.save_field(tmp_path / "psi.kfk", psi)
+        fieldio.save_field(tmp_path / "phi.kfk", VectorField.constant(grid, [1.0, 2.0, 3.0]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "files", "phi_file": str(tmp_path / "phi.kfk"),
+                                   "psi_file": str(tmp_path / "psi.kfk")}))
+        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "korn_rigid.json")
+        assert report["reconstruction_tolerance"] == 1e-6
+        assert "rotation_tolerance" not in report
+
+    def test_gp_refuses_a_spacing_whose_round_off_swamps_the_check(self, tmp_path,
+                                                                   capsys):
+        # the edge round-off eps / h of differencing P = I reaches max|P|
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spacing": 1e-15}))
+        assert run_cli(["korn", "gp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err.get("key")) == ("ConfigError", "spacing")
 
     def test_gp_default_keeps_its_identity_tolerance(self, tmp_path):
         assert run_cli(["korn", "gp", "--out", str(tmp_path)]) == 0

@@ -9,7 +9,7 @@ CONFIGS runs korn gp and korn eig with a rotation-valued P, korn eig on both
 Gram matrices, a free korn probe with the H1 Gram at 1029 DOFs, above
 the dense cap, whose kernel vector goes through the kernel diagnostics, and
 korn rigid on exact affine data over a 33^3 grid at spacing 1, where the
-verdict rests on the round-off floors of its default tolerance, and korn
+round-off of the means over its points sets the default tolerances, and korn
 rigid on the curvilinear case, whose grad(psi) varies from point to point.
 Those configs and the workload inputs (by perfbench/workloads.py) are
 written once and both sides read them, so their config_sha256 agree.  With
