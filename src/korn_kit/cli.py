@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Runs one named experiment per process, reads a JSON config, writes a JSON
-verdict report plus CSV tables into the output directory, and exits 0 when
-every verdict passed, 1 on a verdict failure, and 2 on a configuration
-error (with a machine-readable error JSON on stdout).
+verdict report into the output directory, and exits 0 when every verdict
+passed, 1 on a verdict failure, and 2 on a configuration error (with a
+machine-readable error JSON on stdout).
 
     korn-kit verify-curl            --config cfg.json --out reports
     korn-kit transport propagate    [--config ...] [--seed N] [--tol X]
@@ -137,8 +137,9 @@ def _kind(wanted, accept, convert=lambda value: value):
     return kind
 
 
-def _int_at_least(low):
-    return _kind(f"an integer >= {low}", lambda v: _is_int(v) and v >= low)
+def _int_at_least(low, high=math.inf):
+    wanted = f"an integer >= {low}" + (f" and <= {high}" if high < math.inf else "")
+    return _kind(wanted, lambda v: _is_int(v) and low <= v <= high)
 
 
 def _real(wanted, accept=lambda v: True):
@@ -184,6 +185,10 @@ _p_family = _kind("an object with a name and the family's keywords",
                   lambda v: (v.get("name", "identity"),
                              {k: n for k, n in v.items() if k != "name"}))
 _clamped_face = _face(axis=0, side=0)
+# the most steps transport propagate and counterexample take, so that a run
+# ends: propagate takes ceil(steps / (n - 1)) RK4 substeps a cell on every
+# line, and the counterexample steps its lines in Python
+_MAX_STEPS = 10 ** 5
 # the keys of every run, key -> (default, kind); the keyword of load_config
 # (the CLI flag) of the same name overrides the document's value
 _RUN_KEYS = {"seed": (0, _int_at_least(0)), "tol": (None, _optional(_positive)),
@@ -202,10 +207,12 @@ def _gamma(key, value):
 @contextlib.contextmanager
 def _naming(key):
     """Refuse, as a ConfigError naming key, what the library refuses while the
-    block builds a run input from key; GridTooLarge and ConfigError pass as raised."""
+    block builds a run input from key; GridTooLarge and ConfigError pass with
+    their type, naming key where they name none."""
     try:
         yield
-    except (GridTooLarge, ConfigError):
+    except (GridTooLarge, ConfigError) as exc:
+        exc.key = exc.key or key
         raise
     except (KornKitError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {key}: {exc}", key=key) from exc
@@ -319,13 +326,16 @@ def _run_algebra_selftest(cfg: RunConfig, rng):
     header = ["check", "samples", "worst", "tolerance", "passed"]
     rows = algebra.selftest(rng, cfg["tol_det"], cfg["tol_skew"])
     checks = [dict(zip(header, row)) for row in rows]
-    return all(row[-1] for row in rows), {"checks": checks}, {"checks": (header, rows)}
+    return all(row[-1] for row in rows), {"checks": checks}
 
 
 def _run_verify_curl(cfg: RunConfig, rng):
     case, shape, levels = cfg["case"], cfg["shape"], cfg["levels"]
     # 1 / n, as in _grid: a shape past the float range meets the point cap
-    base = GridSpec((shape,) * 3, (0.0,) * 3, 1 / (shape - 1))
+    with _naming("shape"):
+        base = GridSpec((shape,) * 3, (0.0,) * 3, 1 / (shape - 1))
+    with _naming("levels"):  # a dry run: the ladder meets the point cap before any level runs
+        refinement_errors(lambda grid: 0.0, base, levels=levels)
     seed = cfg.seed
 
     if case == "quadratic":
@@ -346,10 +356,6 @@ def _run_verify_curl(cfg: RunConfig, rng):
                                         analytic.LazyMatrixSample(y_case, grid))
 
     report = refinement_errors(error_at, base, levels=levels)
-    rows = [[h, e] for h, e in zip(report.spacings, report.max_errors)]
-    for i, order in enumerate(report.orders):
-        rows[i + 1].append(order)
-    rows[0].append("")
 
     if case == "quadratic":
         tol = cfg.tol or 1e-9
@@ -363,7 +369,7 @@ def _run_verify_curl(cfg: RunConfig, rng):
     body = {"case": case, "levels": levels, "spacings": report.spacings,
             "max_errors": report.max_errors, "orders": report.orders,
             "verdict": verdict}
-    return passed, body, {"levels": (["spacing", "max_error", "order"], rows)}
+    return passed, body
 
 
 def _random_coefficient(cfg: RunConfig, grid, rng):
@@ -425,8 +431,7 @@ def _run_transport_propagate(cfg: RunConfig, rng):
         body["reconstruction_error"] = err
         passed = passed and err <= residual_tol
     fieldio.save_field(cfg.out_dir / "zeta.kfk", zeta)
-    rows = [[j, residual.per_axis[j]] for j in range(len(residual.per_axis))]
-    return passed, body, {"residual": (["axis", "max_residual"], rows)}
+    return passed, body
 
 
 def _run_transport_flood(cfg: RunConfig, rng):
@@ -463,27 +468,17 @@ def _run_transport_flood(cfg: RunConfig, rng):
         zeta = VectorField.zeros(grid, grid.dim)
 
     report = transport.flood_propagate(domain, seed_mask, coef, zeta, tol=cfg.tol)
-    rows = [[i, str(rec.bounds), rec.axis, rec.direction, rec.face_max,
-             rec.zeta_max, rec.passed]
-            for i, rec in enumerate(report.cuboids)]
     body = {"domain": domain_kind, "report": report,
             "grid": {"shape": grid.shape, "spacing": grid.spacing}}
-    return report.passed, body, {
-        "cuboids": (["index", "bounds", "axis", "direction", "face_max",
-                     "zeta_max", "passed"], rows)}
+    return report.passed, body
 
 
 def _run_transport_counterexample(cfg: RunConfig, rng):
     report = transport.counterexample_demo(cfg["epsilon"], cfg["steps"])
-    rows = [
-        ["identity_residual", report.identity_residual_max,
-         transport.IDENTITY_RESIDUAL_TOL],
-        ["full_integral_divergent", float(report.full_divergent), 1.0],
-        ["truncated_solution_max", report.truncated_solution_max,
-         transport.TRUNCATED_SOLUTION_TOL],
-    ]
-    return report.passed, {"report": report}, {
-        "parts": (["quantity", "value", "threshold"], rows)}
+    # the bound on each of the report's quantities of the same name
+    thresholds = {"identity_residual_max": transport.IDENTITY_RESIDUAL_TOL,
+                  "truncated_solution_max": transport.TRUNCATED_SOLUTION_TOL}
+    return report.passed, {"report": report, "thresholds": thresholds}
 
 
 def _census(r: korn.RayleighResult) -> dict:
@@ -510,13 +505,9 @@ def _run_korn_eig(cfg: RunConfig, rng):
     passed = passed and all(r.census_complete for r in results.values())
 
     body = {"gamma": gamma, "n_dofs": form.n_dofs,
-            "results": {g: {**_census(r), "dense": r.dense}
+            "results": {g: {**_census(r), "dense": r.dense, "eigenvalues": r.eigenvalues}
                         for g, r in results.items()}}
-    rows = []
-    for g, r in results.items():
-        for i, w in enumerate(r.eigenvalues):
-            rows.append([g, i, float(w)])
-    return passed, body, {"eigenvalues": (["gram", "index", "value"], rows)}
+    return passed, body
 
 
 def _run_korn_probe(cfg: RunConfig, rng):
@@ -536,7 +527,7 @@ def _run_korn_probe(cfg: RunConfig, rng):
         body["transport_residual"] = probe.diagnostics.transport_residual
         body["boundary_condition_missing"] = \
             probe.diagnostics.boundary_condition_missing
-    return passed, body, {}
+    return passed, body
 
 
 def _run_korn_rigid(cfg: RunConfig, rng):
@@ -545,8 +536,7 @@ def _run_korn_rigid(cfg: RunConfig, rng):
     if case == "files":
         phi = _input_field(cfg, "phi_file", VectorField, dim=3, components=3, stencil=True)
         psi = _input_field(cfg, "psi_file", VectorField, grid=phi.grid, components=3)
-        recon_tol = cfg.tol or 1e-6
-        omega = None
+        grid, omega, key = phi.grid, None, "phi_file"
     else:
         grid = _grid(cfg, stencil=True)
         # exact data in the grid's own units: psi from the offsets i h to the
@@ -560,13 +550,16 @@ def _run_korn_rigid(cfg: RunConfig, rng):
             psi_vals[..., 2] += 0.25 * psi_vals[..., 0] ** 2 / extent
         phi = VectorField(grid, psi_vals @ algebra.smat(omega).T + shift)
         psi = VectorField(grid, psi_vals)
-        # the stencils difference data that vary over n - 1 cells, and
-        # rigid_recover averages over the grid's points
-        roundoff = {"spacing": 1.0 / (max(grid.shape) - 1), "points": grid.num_points}
+        key = "shape"
+
+    # the stencils difference data that vary over n - 1 cells, and
+    # rigid_recover averages over the grid's points
+    roundoff = {"spacing": 1.0 / (max(grid.shape) - 1), "points": grid.num_points}
+    if omega is not None:
         body["rotation_tolerance"] = cfg.tol or _default_tolerance(
-            float(np.abs(omega).max()), "shape", **roundoff)
-        recon_tol = cfg.tol or _default_tolerance(
-            max(phi.max_norm(), psi.max_norm()), "shape", **roundoff)
+            float(np.abs(omega).max()), key, **roundoff)
+    recon_tol = cfg.tol or _default_tolerance(
+        max(phi.max_norm(), psi.max_norm()), key, **roundoff)
 
     # after the checks above, the floor on det grad(psi) is the one refusal left
     with _naming("min_det"):
@@ -576,10 +569,7 @@ def _run_korn_rigid(cfg: RunConfig, rng):
     if omega is not None:
         body["rotation_error"] = float(np.max(np.abs(recovery.rotation.axial - omega)))
         passed = passed and body["rotation_error"] <= body["rotation_tolerance"]
-    rows = [["skewness", recovery.skewness_residual],
-            ["constancy", recovery.constancy_residual],
-            ["reconstruction", recovery.reconstruction_residual]]
-    return passed, body, {"residuals": (["residual", "value"], rows)}
+    return passed, body
 
 
 def _run_korn_gp(cfg: RunConfig, rng):
@@ -598,7 +588,7 @@ def _run_korn_gp(cfg: RunConfig, rng):
         tol = cfg.tol or _default_tolerance(1.0, "spacing", spacing=grid.spacing, floor=1e-12)
         passed = tensor.max_norm() <= tol
         body["identity_check_tolerance"] = tol
-    return passed, body, {}
+    return passed, body
 
 
 # each experiment's parameter table, key -> (default, kind), and its handler;
@@ -621,7 +611,7 @@ _EXPERIMENTS = {
                     _run_verify_curl),
     "transport-propagate": ({"case": ("exponential",
                                       _choice("exponential", "zero", "files")),
-                             **_GRID, "steps": (200, _int_at_least(1)),
+                             **_GRID, "steps": (200, _int_at_least(1, _MAX_STEPS)),
                              "face_value": ([1.0, 0.5, -0.25], _face_value),
                              "coefficient_scale": (1.0, _finite),
                              "g_file": (None, _optional(_path)),
@@ -637,9 +627,10 @@ _EXPERIMENTS = {
                          "zeta_file": (None, _optional(_path)),
                          "mask_file": (None, _optional(_path))},
                         _run_transport_flood),
-    "transport-counterexample": ({"epsilon": (1e-3, _real("a number in (0, 1)",
-                                                          lambda v: 0 < v < 1)),
-                                  "steps": (1000, _int_at_least(2))},
+    "transport-counterexample": ({"epsilon": (1e-3, _real(
+                                      "a number in (0, 1) with a finite reciprocal",
+                                      lambda v: 0 < v < 1 and math.isfinite(1 / v))),
+                                  "steps": (1000, _int_at_least(2, _MAX_STEPS))},
                                  _run_transport_counterexample),
     "korn-eig": ({**_KORN_SOLVE, "gram": ("l2", _choice("l2", "h1", "both")),
                   "expect_kernel_dim": (6, _int_at_least(0))}, _run_korn_eig),
@@ -658,7 +649,7 @@ def run(config: RunConfig) -> int:
     handler = _EXPERIMENTS[config.experiment][1]
     rng = np.random.default_rng(config.seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    passed, body, tables = handler(config, rng)
+    passed, body = handler(config, rng)
     report = {
         "experiment": config.experiment,
         "schema": SCHEMA,
@@ -668,14 +659,13 @@ def run(config: RunConfig) -> int:
         "passed": bool(passed),
         **body,
     }
-    reporting.write_report(config.out_dir, config.experiment.replace("-", "_"),
-                           report, tables)
+    reporting.write_report(config.out_dir, config.experiment.replace("-", "_"), report)
     return 0 if passed else 1
 
 
 def _error_json(exc: KornKitError) -> str:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    if isinstance(exc, ConfigError) and exc.key is not None:
+    if exc.key is not None:
         payload["error"]["key"] = exc.key
     return json.dumps(payload, sort_keys=True)
 
@@ -692,36 +682,29 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="group", required=True)
     # verify-curl is a command of its own; every other experiment is a group
-    # and a command, split at the first "-" of its name
+    # and a command, split at the first "-" of its name; each command's
+    # parser names its experiment
     groups = {}
     for name in _EXPERIMENTS:
         if name == "verify-curl":
-            sub.add_parser(name, parents=[common])
+            sub.add_parser(name, parents=[common]).set_defaults(experiment=name)
             continue
         group, command = name.split("-", 1)
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(dest="command",
                                                                  required=True)
-        groups[group].add_parser(command, parents=[common])
+        groups[group].add_parser(command, parents=[common]).set_defaults(experiment=name)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.group == "verify-curl":
-        experiment = "verify-curl"
-    else:
-        experiment = f"{args.group}-{args.command}"
     try:
-        config = load_config(experiment, args.config, seed=args.seed,
+        config = load_config(args.experiment, args.config, seed=args.seed,
                              tol=args.tol, out=args.out)
         return run(config)
     except KornKitError as exc:
         print(_error_json(exc))
-        return 2
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        # malformed parameter values surface as config errors, not tracebacks
-        print(_error_json(ConfigError(f"invalid config value: {exc}")))
         return 2
 
 

@@ -2,7 +2,12 @@
 
 
 class KornKitError(Exception):
-    """Base class for all errors raised by korn_kit."""
+    """Base class for all errors raised by korn_kit; key names the config key
+    a refusal is due to, where one is known."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DeterminantTooSmall(KornKitError):
@@ -51,7 +56,3 @@ class EigensolveFailed(KornKitError):
 
 class ConfigError(KornKitError):
     """A run configuration failed validation."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key

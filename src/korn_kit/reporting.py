@@ -1,22 +1,21 @@
-"""Deterministic JSON and CSV report emission.
+"""Deterministic JSON report emission.
 
 Reports are byte-identical for identical inputs: keys are sorted, floats go
 through repr, and nothing time- or path-dependent is embedded.  Every JSON
 report carries the configuration hash, the seed, and the tolerances used.
 
-to_jsonable turns a report, and each CSV table, into plain JSON types.  It
-branches on the exact type of each value, so a built-in float, int, str,
-bool, None, dict, list or tuple costs one identity test, and it looks each
-dataclass type's field names up once.  Numpy values and subclasses of the
-built-in types take isinstance checks after that, under the same rules: a
-float that is not finite becomes its repr, a dict key becomes str, a tuple
-becomes a list, and an array of any rank, 0-d included, becomes what its
-tolist gives.
+to_jsonable turns a report into plain JSON types.  It branches on the
+exact type of each value, so a built-in float, int, str, bool, None, dict,
+list or tuple costs one identity test, and it looks each dataclass type's
+field names up once.  Numpy values and subclasses of the built-in types
+take isinstance checks after that, under the same rules: a float that is
+not finite becomes its repr, a dict key becomes str, a tuple becomes a
+list, and an array of any rank, 0-d included, becomes what its tolist
+gives.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -79,16 +78,8 @@ def _field_names(kind: type):
     return tuple(f.name for f in dataclasses.fields(kind))
 
 
-def write_report(out_dir, name: str, report: dict, tables: dict | None = None):
-    """Write <name>.json plus one CSV per table; returns the JSON path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / f"{name}.json"
+def write_report(out_dir, name: str, report: dict):
+    """Write <name>.json into out_dir, which the run has made; returns its path."""
+    json_path = Path(out_dir) / f"{name}.json"
     json_path.write_text(canonical_json(to_jsonable(report)))
-    for table_name, (header, rows) in (tables or {}).items():
-        with open(out / f"{name}_{table_name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # csv writes a float as str, which is its repr, as in the JSON
-            writer.writerows(to_jsonable(rows))
     return json_path

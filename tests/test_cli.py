@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, config validation, reports, exit codes."""
 
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -29,7 +31,6 @@ class TestExitCodes:
         report = read_report(tmp_path, "algebra_selftest.json")
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
-        assert (tmp_path / "algebra_selftest_checks.csv").exists()
 
     def test_algebra_selftest_checks_the_l_kernel(self, tmp_path, monkeypatch):
         apply_l = algebra._apply_l
@@ -103,6 +104,49 @@ class TestExitCodes:
                         "--out", str(tmp_path)])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "GridTooLarge"
+
+    @pytest.mark.parametrize("command, params, key", [
+        (["korn", "eig"], {"shape": [300, 300, 300]}, "shape"),
+        (["korn", "probe"], {"shape": [300, 300, 300]}, "shape"),
+        (["korn", "rigid"], {"shape": [300, 300, 300]}, "shape"),
+        (["korn", "gp"], {"shape": [300, 300, 300]}, "shape"),
+        (["transport", "propagate"], {"shape": [300, 300, 300]}, "shape"),
+        (["transport", "flood"], {"shape": [300, 300, 300]}, "shape"),
+        (["verify-curl"], {"shape": 300}, "shape"),
+        # 129^3 points, then 257^3 at the second level: the ladder is refused
+        (["verify-curl"], {"case": "trigonometric", "shape": 129, "levels": 2}, "levels"),
+    ], ids=["eig", "probe", "rigid", "gp", "propagate", "flood", "verify-curl",
+            "verify-curl-ladder"])
+    def test_oversized_grid_names_its_key(self, tmp_path, capsys, command, params, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("GridTooLarge", key)
+
+    @pytest.mark.parametrize("command, params, key", [
+        (["transport", "propagate"], {"steps": 2 ** 70}, "steps"),
+        (["transport", "propagate"], {"steps": cli._MAX_STEPS + 1}, "steps"),
+        (["transport", "counterexample"], {"steps": 2 ** 70}, "steps"),
+        (["transport", "counterexample"], {"steps": cli._MAX_STEPS + 1}, "steps"),
+        # 1 / epsilon overflows to inf at and below 1 / float max
+        (["transport", "counterexample"], {"epsilon": 5e-324}, "epsilon"),
+        (["transport", "counterexample"], {"epsilon": 1 / sys.float_info.max}, "epsilon"),
+    ], ids=["propagate-huge-steps", "propagate-steps-past-cap", "counterexample-huge-steps",
+            "counterexample-steps-past-cap", "epsilon-subnormal", "epsilon-reciprocal-inf"])
+    def test_steps_and_epsilon_past_their_range_name_their_key(self, tmp_path, capsys,
+                                                               command, params, key):
+        # the huge steps and the tiny epsilon reached the library and came
+        # back as a keyless error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(command + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["key"]) == ("ConfigError", key)
 
     @pytest.mark.parametrize("command, params", [
         (["transport", "flood"], {"shape": [3, 3, 2 ** 1100]}),
@@ -550,8 +594,6 @@ class TestReports:
             assert run_cli(["korn", "eig", "--seed", "3", "--out", str(out)]) == 0
         assert (out1 / "korn_eig.json").read_bytes() == \
             (out2 / "korn_eig.json").read_bytes()
-        assert (out1 / "korn_eig_eigenvalues.csv").read_bytes() == \
-            (out2 / "korn_eig_eigenvalues.csv").read_bytes()
 
     def test_byte_identical_sparse_probe_reports(self, tmp_path):
         # free 9^3: 2187 DOFs, above the dense cap, so ARPACK solves it twice
@@ -689,7 +731,7 @@ class TestVerifyCurl:
             out = tmp_path / f"cpus-{cpus}"
             assert run_cli(["verify-curl", "--config", str(cfg), "--out", str(out)]) == 0
             reports.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert sorted(reports[0]) == ["verify_curl.json", "verify_curl_levels.csv"]
+        assert sorted(reports[0]) == ["verify_curl.json"]
         assert reports[0] == reports[1]
 
 
@@ -749,8 +791,6 @@ class TestTransportCommands:
         report = read_report(tmp_path, "transport_flood.json")
         assert report["report"]["passed"] is True
         assert len(report["report"]["cuboids"]) >= 2
-        csv_text = (tmp_path / "transport_flood_cuboids.csv").read_text()
-        assert csv_text.count("\n") >= 3
 
     def test_counterexample(self, tmp_path):
         assert run_cli(["transport", "counterexample", "--out", str(tmp_path)]) == 0
@@ -792,6 +832,26 @@ class TestKornCommands:
         result = read_report(tmp_path, "korn_eig.json")["results"]["l2"]
         assert result["census_complete"] is True
         assert 0.0 <= result["eigenpair_residual"] <= 1e-12
+
+    def test_eig_report_holds_the_eigenvalue_table_digits(self, tmp_path):
+        # the eigenvalues were once a CSV table of rows (gram, index, float(w)),
+        # whose text is repr(float(w)); the report holds the same digits
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gram": "both"}))
+        assert run_cli(["korn", "eig", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "korn_eig.json").read_text()
+        results = json.loads(text, parse_float=str)["results"]
+        grid = GridSpec((5, 5, 5), (0.0,) * 3, 0.2)
+        form = korn.assemble_form(korn.KornProblem(
+            grid, korn.builtin_p_field("identity", grid), korn.face_mask(grid, 0, 0)))
+        for gram in ("l2", "h1"):
+            table = io.StringIO()
+            csv.writer(table).writerows(
+                [gram, i, float(w)]
+                for i, w in enumerate(korn.min_rayleigh(form, gram).eigenvalues))
+            values = [row[2] for row in csv.reader(io.StringIO(table.getvalue()))]
+            assert len(values) == 12
+            assert results[gram]["eigenvalues"] == values
 
     def test_eig_fails_on_incomplete_census(self, tmp_path, monkeypatch):
         # six computed pairs on the free problem are all kernel: the census
@@ -937,8 +997,28 @@ class TestKornCommands:
                                    "psi_file": str(tmp_path / "psi.kfk")}))
         assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         report = read_report(tmp_path, "korn_rigid.json")
-        assert report["reconstruction_tolerance"] == 1e-6
+        # the exact-data model on the files' 5^3 grid: eps (4 (n - 1) + 0.25 N)
+        # times max(max|phi|, max|psi|) = 3
+        assert report["reconstruction_tolerance"] == sys.float_info.epsilon * 47.25 * 3.0
         assert "rotation_tolerance" not in report
+
+    @pytest.mark.parametrize("origin", [1e11, 1e12])
+    def test_rigid_files_pass_exact_data_far_from_the_origin(self, tmp_path, origin):
+        # an absolute default tolerance of 1e-6 failed this exact affine
+        # data, whose round-off grows with max|psi|
+        grid = GridSpec((9, 9, 9), (origin,) * 3, 1.0)
+        psi = grid.points()
+        phi = psi @ algebra.smat(np.array([0.3, -0.2, 0.1])).T + [1.0, 2.0, 3.0]
+        fieldio.save_field(tmp_path / "psi.kfk", VectorField(grid, psi))
+        fieldio.save_field(tmp_path / "phi.kfk", VectorField(grid, phi))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "files", "phi_file": str(tmp_path / "phi.kfk"),
+                                   "psi_file": str(tmp_path / "psi.kfk")}))
+        assert run_cli(["korn", "rigid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path, "korn_rigid.json")
+        # the exact-data model: eps (4 (n - 1) + 0.25 N) times max|psi|
+        assert report["reconstruction_tolerance"] == \
+            sys.float_info.epsilon * 214.25 * (origin + 8.0)
 
     def test_gp_refuses_a_spacing_whose_round_off_swamps_the_check(self, tmp_path,
                                                                    capsys):
